@@ -9,11 +9,11 @@ use ccdp_core::{
     measure_errors, EdgeDpBaseline, Estimator, FixedDeltaBaseline, NaiveNodeDpBaseline,
     PrivateCcEstimator,
 };
-use ccdp_graph::{generators, Graph};
+use ccdp_graph::{generators, PreparedGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn estimator_error(est: &dyn Estimator, g: &Graph, trials: usize, seed: u64) -> f64 {
+fn estimator_error(est: &dyn Estimator, g: &PreparedGraph, trials: usize, seed: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let truth = g.num_connected_components() as f64;
     measure_errors(truth, trials, || est.estimate(g, &mut rng).unwrap().value()).mean
@@ -32,6 +32,7 @@ fn main() {
         ("geometric(800, r=0.02)", &geo),
     ] {
         let truth = g.num_connected_components();
+        let g = PreparedGraph::from(g);
         let mut table = Table::new(
             &format!("E8: mean |error| on {name}, f_cc = {truth}"),
             &[
@@ -57,7 +58,7 @@ fn main() {
             for (j, est) in sweep.iter().enumerate() {
                 row.push(format!(
                     "{:.1}",
-                    estimator_error(est.as_ref(), g, trials, seed + j as u64)
+                    estimator_error(est.as_ref(), &g, trials, seed + j as u64)
                 ));
             }
             table.add_row(row);

@@ -25,16 +25,13 @@ use crate::cache::ExtensionCache;
 use crate::config::{ConfigError, EstimatorConfig};
 use crate::error::CcdpError;
 use crate::estimator::Estimator;
-use crate::extension::{
-    evaluate_family_csr_profiled, evaluate_family_tuned_obs, EvaluationPath, ExtensionEvaluation,
-};
+use crate::extension::{evaluate_family, EvaluationPath, ExtensionEvaluation};
 use crate::release::{Diagnostics, Privacy, Release};
 use ccdp_dp::composition::{BudgetExceeded, PrivacyBudget};
 use ccdp_dp::gem::{generalized_exponential_mechanism, power_of_two_grid, GemCandidate};
 use ccdp_dp::laplace::laplace_mechanism;
 use ccdp_dp::NoiseBatch;
-use ccdp_exec::PhaseProfiler;
-use ccdp_graph::{CsrGraph, Graph};
+use ccdp_graph::PreparedGraph;
 use rand::{Rng, RngCore};
 
 /// The ε splits, β and Δ grid of one spanning-forest release, fixed before
@@ -95,27 +92,23 @@ impl PrivateSpanningForestEstimator {
     /// carries per-Δ LP details that would otherwise be cloned per estimate.
     fn family(
         &self,
-        g: &Graph,
+        g: &PreparedGraph,
         grid: &[usize],
     ) -> Result<std::sync::Arc<Vec<ExtensionEvaluation>>, CcdpError> {
-        let backend = self.config.solver();
-        let threads = self.config.resolved_threads();
         let options = self.config.family_options();
         let obs = self.config.obs();
         let profiler = obs.profiler.as_deref();
         match &self.family_cache {
-            Some(cache) => Ok(cache.evaluate_family_observed(
+            Some(cache) => Ok(cache.evaluate_family(
                 g,
                 grid,
-                backend,
                 self.config.graph_tag(),
-                threads,
-                options,
+                &options,
                 profiler,
                 obs.trace.as_ref(),
             )?),
-            None => Ok(std::sync::Arc::new(evaluate_family_tuned_obs(
-                g, grid, backend, threads, options, profiler,
+            None => Ok(std::sync::Arc::new(evaluate_family(
+                g, grid, &options, profiler,
             )?)),
         }
     }
@@ -148,9 +141,7 @@ impl PrivateSpanningForestEstimator {
     }
 
     /// Steps 1 and 3 of Algorithm 1 once the family values are in hand: GEM
-    /// selection with ε/2 followed by the Laplace release with ε/2. Shared by
-    /// the adjacency-list and CSR entry points so both consume randomness and
-    /// assemble diagnostics identically.
+    /// selection with ε/2 followed by the Laplace release with ε/2.
     fn finish_release<R: Rng + ?Sized>(
         &self,
         plan: &ReleasePlan,
@@ -233,7 +224,15 @@ impl PrivateSpanningForestEstimator {
     }
 
     /// Runs Algorithm 1 on `g` and returns the private release of `f_sf(G)`.
-    pub fn estimate<R: Rng + ?Sized>(&self, g: &Graph, rng: &mut R) -> Result<Release, CcdpError> {
+    ///
+    /// `g` is a [`PreparedGraph`] or anything that converts into one: a
+    /// reference to a prepared snapshot is a pointer copy, while a
+    /// [`Graph`](ccdp_graph::Graph) is prepared on the spot.
+    pub fn estimate<R: Rng + ?Sized>(
+        &self,
+        g: impl Into<PreparedGraph>,
+        rng: &mut R,
+    ) -> Result<Release, CcdpError> {
         let mut budget = PrivacyBudget::new(self.config.epsilon());
         self.estimate_with_budget(g, &mut budget, rng)
     }
@@ -244,82 +243,29 @@ impl PrivateSpanningForestEstimator {
     /// (e.g. [`PrivateCcEstimator`]) pass their budget down instead of
     /// re-deriving ε splits, so one ledger records every stage. The entire
     /// remaining budget is consumed: half on GEM selection, half on the
-    /// Laplace release.
+    /// Laplace release. `g` converts into a [`PreparedGraph`] exactly as in
+    /// [`estimate`](Self::estimate).
+    ///
+    /// A profiler attached through
+    /// [`EstimatorConfig::with_profiler`] records the family phases plus
+    /// `release/true-value` (reading the prepared `f_sf` fed to GEM) and
+    /// `release/mechanisms` (GEM selection plus the Laplace release).
     pub fn estimate_with_budget<R: Rng + ?Sized>(
         &self,
-        g: &Graph,
+        g: impl Into<PreparedGraph>,
         budget: &mut PrivacyBudget,
         rng: &mut R,
     ) -> Result<Release, CcdpError> {
+        let g = &g.into();
         // Steps 2–4 of Algorithm 4: evaluate the family on the doubling grid.
         // The empty graph takes the same path as everything else: the grid
         // degenerates to {1}, the extension value to 0.
         let plan = self.plan_release(g.num_vertices(), budget)?;
         let evals = self.family(g, &plan.grid)?;
-        let profiler = self.config.obs().profiler.clone();
-        let profiler = profiler.as_deref();
+        let profiler = self.config.obs().profiler.as_deref();
         let true_value = {
             let _t = profiler.map(|p| p.phase("release/true-value"));
             g.spanning_forest_size() as f64
-        };
-        let _t = profiler.map(|p| p.phase("release/mechanisms"));
-        Ok(self.finish_release(&plan, &evals, true_value, budget, rng))
-    }
-
-    /// Runs Algorithm 1 directly on a CSR arena, bypassing both the
-    /// adjacency-list [`Graph`] and the [`ExtensionCache`]. This is the
-    /// large-scale entry point: the family is evaluated by the partitioned
-    /// CSR engine and the release is bit-for-bit identical to
-    /// [`Self::estimate`] on the equivalent `Graph` with the same RNG state.
-    pub fn estimate_csr<R: Rng + ?Sized>(
-        &self,
-        arena: &CsrGraph,
-        rng: &mut R,
-    ) -> Result<Release, CcdpError> {
-        let mut budget = PrivacyBudget::new(self.config.epsilon());
-        self.estimate_csr_with_budget(arena, &mut budget, rng, None)
-    }
-
-    /// [`Self::estimate_csr`] with per-phase wall-clock attribution: family
-    /// phases (`family/partition`, `family/anchor`, `family/lp`) are recorded
-    /// by the CSR engine, and this wrapper adds `release/true-value` (the
-    /// exact spanning-forest size fed to GEM) and `release/mechanisms` (GEM
-    /// selection plus the Laplace release).
-    pub fn estimate_csr_profiled<R: Rng + ?Sized>(
-        &self,
-        arena: &CsrGraph,
-        rng: &mut R,
-        profiler: &PhaseProfiler,
-    ) -> Result<Release, CcdpError> {
-        let mut budget = PrivacyBudget::new(self.config.epsilon());
-        self.estimate_csr_with_budget(arena, &mut budget, rng, Some(profiler))
-    }
-
-    /// CSR counterpart of [`Self::estimate_with_budget`]. Budget spends, the
-    /// Δ grid, noise consumption and diagnostics all match the `Graph` path;
-    /// only the family engine differs (and is itself value-identical).
-    pub fn estimate_csr_with_budget<R: Rng + ?Sized>(
-        &self,
-        arena: &CsrGraph,
-        budget: &mut PrivacyBudget,
-        rng: &mut R,
-        profiler: Option<&PhaseProfiler>,
-    ) -> Result<Release, CcdpError> {
-        // An explicit profiler argument wins; otherwise the one threaded
-        // through the configuration (the serving tier's per-request handle).
-        let config_profiler = self.config.obs().profiler.clone();
-        let profiler = profiler.or(config_profiler.as_deref());
-        let plan = self.plan_release(arena.num_vertices(), budget)?;
-        let evals = evaluate_family_csr_profiled(
-            arena,
-            &plan.grid,
-            self.config.resolved_threads(),
-            self.config.family_options(),
-            profiler,
-        )?;
-        let true_value = {
-            let _t = profiler.map(|p| p.phase("release/true-value"));
-            arena.spanning_forest_size() as f64
         };
         let _t = profiler.map(|p| p.phase("release/mechanisms"));
         Ok(self.finish_release(&plan, &evals, true_value, budget, rng))
@@ -337,7 +283,7 @@ impl Estimator for PrivateSpanningForestEstimator {
         }
     }
 
-    fn estimate(&self, g: &Graph, rng: &mut dyn RngCore) -> Result<Release, CcdpError> {
+    fn estimate(&self, g: &PreparedGraph, rng: &mut dyn RngCore) -> Result<Release, CcdpError> {
         PrivateSpanningForestEstimator::estimate(self, g, rng)
     }
 }
@@ -386,54 +332,26 @@ impl PrivateCcEstimator {
     }
 
     /// Runs the estimator on `g` and returns the private release of `f_cc(G)`.
-    pub fn estimate<R: Rng + ?Sized>(&self, g: &Graph, rng: &mut R) -> Result<Release, CcdpError> {
-        let n = g.num_vertices();
-        let (mut budget, node_count_estimate) = self.count_stage(n, rng)?;
+    ///
+    /// Like [`PrivateSpanningForestEstimator::estimate`], `g` is a
+    /// [`PreparedGraph`] or anything that converts into one.
+    pub fn estimate<R: Rng + ?Sized>(
+        &self,
+        g: impl Into<PreparedGraph>,
+        rng: &mut R,
+    ) -> Result<Release, CcdpError> {
+        let g = g.into();
+        let (mut budget, node_count_estimate) = self.count_stage(g.num_vertices(), rng)?;
 
         // The spanning-forest stage consumes everything that remains, drawing
         // from the same accountant.
         let sf_release = self
             .spanning_forest
-            .estimate_with_budget(g, &mut budget, rng)?;
+            .estimate_with_budget(&g, &mut budget, rng)?;
         Ok(self.assemble(node_count_estimate, sf_release, &budget))
     }
 
-    /// Runs the estimator directly on a CSR arena — the large-scale twin of
-    /// [`Self::estimate`], bit-for-bit identical on the equivalent `Graph`
-    /// with the same RNG state.
-    pub fn estimate_csr<R: Rng + ?Sized>(
-        &self,
-        arena: &CsrGraph,
-        rng: &mut R,
-    ) -> Result<Release, CcdpError> {
-        self.estimate_csr_inner(arena, rng, None)
-    }
-
-    /// [`Self::estimate_csr`] with per-phase wall-clock attribution recorded
-    /// into `profiler` (see [`PrivateSpanningForestEstimator::estimate_csr_profiled`]).
-    pub fn estimate_csr_profiled<R: Rng + ?Sized>(
-        &self,
-        arena: &CsrGraph,
-        rng: &mut R,
-        profiler: &PhaseProfiler,
-    ) -> Result<Release, CcdpError> {
-        self.estimate_csr_inner(arena, rng, Some(profiler))
-    }
-
-    fn estimate_csr_inner<R: Rng + ?Sized>(
-        &self,
-        arena: &CsrGraph,
-        rng: &mut R,
-        profiler: Option<&PhaseProfiler>,
-    ) -> Result<Release, CcdpError> {
-        let (mut budget, node_count_estimate) = self.count_stage(arena.num_vertices(), rng)?;
-        let sf_release =
-            self.spanning_forest
-                .estimate_csr_with_budget(arena, &mut budget, rng, profiler)?;
-        Ok(self.assemble(node_count_estimate, sf_release, &budget))
-    }
-
-    /// Stage 1 shared by both entry points: spend the node-count slice and
+    /// Stage 1: spend the node-count slice and
     /// release `|V|` with sensitivity 1.
     ///
     /// The single noise word is prefetched like the spanning-forest stage's,
@@ -491,7 +409,7 @@ impl Estimator for PrivateCcEstimator {
         }
     }
 
-    fn estimate(&self, g: &Graph, rng: &mut dyn RngCore) -> Result<Release, CcdpError> {
+    fn estimate(&self, g: &PreparedGraph, rng: &mut dyn RngCore) -> Result<Release, CcdpError> {
         PrivateCcEstimator::estimate(self, g, rng)
     }
 }
@@ -547,44 +465,44 @@ mod tests {
     }
 
     #[test]
-    fn csr_release_is_bitwise_identical_to_graph_release() {
-        // The CSR entry points must release the exact bits the Graph path
-        // does for the same RNG stream: same family values, same GEM draw,
-        // same Laplace sample — across micro/dedup toggles and thread counts.
-        let g = generators::erdos_renyi(600, 1.3 / 600.0, &mut StdRng::seed_from_u64(77));
-        let arena = CsrGraph::from_graph(&g);
-        for (micro, dedup) in [(true, true), (true, false), (false, true), (false, false)] {
+    fn toggles_and_profiling_never_change_release_bits() {
+        // Micro/dedup toggles and an attached profiler are execution knobs:
+        // same RNG stream, same family values, same GEM draw, same Laplace
+        // sample.
+        let g = PreparedGraph::from(generators::erdos_renyi(
+            600,
+            1.3 / 600.0,
+            &mut StdRng::seed_from_u64(77),
+        ));
+        let base_cfg = EstimatorConfig::new(1.0);
+        let sf = PrivateSpanningForestEstimator::from_config(base_cfg.clone()).unwrap();
+        let base = sf.estimate(&g, &mut StdRng::seed_from_u64(9)).unwrap();
+        let cc = PrivateCcEstimator::from_config(base_cfg).unwrap();
+        let base_cc = cc.estimate(&g, &mut StdRng::seed_from_u64(10)).unwrap();
+        for (micro, dedup) in [(true, false), (false, true), (false, false)] {
             let config = EstimatorConfig::new(1.0)
                 .with_micro_solver(micro)
                 .with_solve_dedup(dedup);
             let sf = PrivateSpanningForestEstimator::from_config(config.clone()).unwrap();
-            let base = sf.estimate(&g, &mut StdRng::seed_from_u64(9)).unwrap();
-            let csr = sf
-                .estimate_csr(&arena, &mut StdRng::seed_from_u64(9))
-                .unwrap();
-            assert_eq!(base.value().to_bits(), csr.value().to_bits());
-            let (bd, cd) = (base.diagnostics(token()), csr.diagnostics(token()));
-            assert_eq!(bd.selected_delta, cd.selected_delta);
-            assert_eq!(bd.family_values, cd.family_values);
+            let r = sf.estimate(&g, &mut StdRng::seed_from_u64(9)).unwrap();
+            assert_eq!(base.value().to_bits(), r.value().to_bits());
+            let (bd, rd) = (base.diagnostics(token()), r.diagnostics(token()));
+            assert_eq!(bd.selected_delta, rd.selected_delta);
+            assert_eq!(bd.family_values, rd.family_values);
 
             let cc = PrivateCcEstimator::from_config(config).unwrap();
-            let base = cc.estimate(&g, &mut StdRng::seed_from_u64(10)).unwrap();
-            let csr = cc
-                .estimate_csr(&arena, &mut StdRng::seed_from_u64(10))
-                .unwrap();
-            assert_eq!(base.value().to_bits(), csr.value().to_bits());
+            let r = cc.estimate(&g, &mut StdRng::seed_from_u64(10)).unwrap();
+            assert_eq!(base_cc.value().to_bits(), r.value().to_bits());
         }
 
-        // The profiled variant is the same release and records the phases.
-        let est = PrivateSpanningForestEstimator::new(1.0).unwrap();
-        let profiler = ccdp_exec::PhaseProfiler::new();
-        let plain = est
-            .estimate_csr(&arena, &mut StdRng::seed_from_u64(11))
-            .unwrap();
-        let profiled = est
-            .estimate_csr_profiled(&arena, &mut StdRng::seed_from_u64(11), &profiler)
-            .unwrap();
-        assert_eq!(plain.value().to_bits(), profiled.value().to_bits());
+        // A profiled release is the same release and records the phases.
+        let profiler = std::sync::Arc::new(ccdp_exec::PhaseProfiler::new());
+        let est = PrivateSpanningForestEstimator::from_config(
+            EstimatorConfig::new(1.0).with_profiler(std::sync::Arc::clone(&profiler)),
+        )
+        .unwrap();
+        let profiled = est.estimate(&g, &mut StdRng::seed_from_u64(9)).unwrap();
+        assert_eq!(base.value().to_bits(), profiled.value().to_bits());
         let phases: Vec<String> = profiler.report().into_iter().map(|p| p.name).collect();
         assert!(phases.iter().any(|p| p == "release/mechanisms"));
         assert!(phases.iter().any(|p| p == "release/true-value"));

@@ -23,10 +23,10 @@
 use crate::config::{ConfigError, EstimatorConfig};
 use crate::error::CcdpError;
 use crate::estimator::Estimator;
-use crate::extension::LipschitzExtension;
+use crate::extension::{evaluate_family, FamilyOptions};
 use crate::release::{Diagnostics, Privacy, Release};
 use ccdp_dp::laplace::laplace_mechanism;
-use ccdp_graph::Graph;
+use ccdp_graph::PreparedGraph;
 use rand::RngCore;
 
 /// The exact, non-private count (accuracy ceiling).
@@ -42,7 +42,7 @@ impl Estimator for NonPrivateBaseline {
         Privacy::NonPrivate
     }
 
-    fn estimate(&self, g: &Graph, _rng: &mut dyn RngCore) -> Result<Release, CcdpError> {
+    fn estimate(&self, g: &PreparedGraph, _rng: &mut dyn RngCore) -> Result<Release, CcdpError> {
         Ok(Release::new(
             g.num_connected_components() as f64,
             Privacy::NonPrivate,
@@ -82,7 +82,7 @@ impl Estimator for EdgeDpBaseline {
         }
     }
 
-    fn estimate(&self, g: &Graph, rng: &mut dyn RngCore) -> Result<Release, CcdpError> {
+    fn estimate(&self, g: &PreparedGraph, rng: &mut dyn RngCore) -> Result<Release, CcdpError> {
         let value = laplace_mechanism(g.num_connected_components() as f64, 1.0, self.epsilon, rng);
         Ok(Release::new(
             value,
@@ -126,7 +126,7 @@ impl Estimator for NaiveNodeDpBaseline {
         }
     }
 
-    fn estimate(&self, g: &Graph, rng: &mut dyn RngCore) -> Result<Release, CcdpError> {
+    fn estimate(&self, g: &PreparedGraph, rng: &mut dyn RngCore) -> Result<Release, CcdpError> {
         // Inserting one node with arbitrary edges can merge all components, and the
         // node count itself changes by one, so the global sensitivity over n-vertex
         // databases is n (we use max(n, 1) to keep the mechanism defined).
@@ -192,10 +192,11 @@ impl Estimator for FixedDeltaBaseline {
         }
     }
 
-    fn estimate(&self, g: &Graph, rng: &mut dyn RngCore) -> Result<Release, CcdpError> {
+    fn estimate(&self, g: &PreparedGraph, rng: &mut dyn RngCore) -> Result<Release, CcdpError> {
         let half = self.epsilon / 2.0;
         let node_count = laplace_mechanism(g.num_vertices() as f64, 1.0, half, rng);
-        let extension = LipschitzExtension::new(self.delta).evaluate(g)?;
+        let extension =
+            evaluate_family(g, &[self.delta], &FamilyOptions::default(), None)?[0].value;
         let sf = laplace_mechanism(extension, self.delta as f64, half, rng);
         Ok(Release::new(
             node_count - sf,
@@ -220,7 +221,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn mean_abs_error<E: Estimator>(est: &E, g: &Graph, runs: usize, seed: u64) -> f64 {
+    fn mean_abs_error<E: Estimator>(est: &E, g: &PreparedGraph, runs: usize, seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let truth = g.num_connected_components() as f64;
         (0..runs)
@@ -232,21 +233,21 @@ mod tests {
     #[test]
     fn non_private_baseline_is_exact() {
         let mut rng = StdRng::seed_from_u64(0);
-        let g = generators::planted_star_forest(10, 2, 3);
+        let g = PreparedGraph::from(generators::planted_star_forest(10, 2, 3));
         let v = NonPrivateBaseline.estimate(&g, &mut rng).unwrap().value();
         assert_eq!(v, 13.0);
     }
 
     #[test]
     fn edge_dp_error_is_small() {
-        let g = generators::planted_star_forest(50, 2, 10);
+        let g = PreparedGraph::from(generators::planted_star_forest(50, 2, 10));
         let err = mean_abs_error(&EdgeDpBaseline::new(1.0).unwrap(), &g, 200, 1);
         assert!(err < 3.0, "edge-DP error {err} should be about 1/ε");
     }
 
     #[test]
     fn naive_node_dp_error_scales_with_n() {
-        let g = generators::planted_star_forest(50, 2, 10);
+        let g = PreparedGraph::from(generators::planted_star_forest(50, 2, 10));
         let err = mean_abs_error(&NaiveNodeDpBaseline::new(1.0).unwrap(), &g, 200, 2);
         let n = g.num_vertices() as f64;
         assert!(
@@ -257,7 +258,7 @@ mod tests {
 
     #[test]
     fn fixed_delta_with_good_guess_is_accurate() {
-        let g = generators::planted_star_forest(50, 2, 10);
+        let g = PreparedGraph::from(generators::planted_star_forest(50, 2, 10));
         // Δ* = 2 here, so a fixed guess of 2 is accurate.
         let err = mean_abs_error(&FixedDeltaBaseline::new(1.0, 2).unwrap(), &g, 100, 3);
         assert!(err < 20.0, "fixed-delta error {err} too large");
@@ -267,7 +268,7 @@ mod tests {
     fn fixed_delta_with_low_guess_is_biased() {
         // Guessing Δ = 1 on a star forest with stars of size 4 underestimates f_sf
         // and therefore overestimates f_cc by a systematic margin.
-        let g = generators::planted_star_forest(40, 4, 0);
+        let g = PreparedGraph::from(generators::planted_star_forest(40, 4, 0));
         let mut rng = StdRng::seed_from_u64(4);
         let est = FixedDeltaBaseline::new(1.0, 1).unwrap();
         let truth = g.num_connected_components() as f64;

@@ -1,24 +1,30 @@
-//! Graph-keyed cache for the deterministic Lipschitz-extension family.
+//! Snapshot-keyed cache for the deterministic Lipschitz-extension family.
 //!
 //! Evaluating `{f_Δ}` on the selection grid is by far the most expensive part
 //! of [`estimate()`](crate::PrivateSpanningForestEstimator::estimate) — and it
-//! is *deterministic*: the same graph, grid and solver backend always produce
-//! the same family values (all randomness lives downstream, in GEM selection
-//! and the Laplace release, and privacy is unaffected by caching a
-//! data-dependent intermediate that never leaves the process). Multi-release
-//! serving — several ε releases of one graph, error-measurement harnesses,
-//! baseline comparisons — therefore pays the family cost once and replays it
-//! from this cache afterwards (~20× cheaper repeated estimates).
+//! is *deterministic*: the same graph and grid always produce the same family
+//! values (all randomness lives downstream, in GEM selection and the Laplace
+//! release, and privacy is unaffected by caching a data-dependent
+//! intermediate that never leaves the process). Multi-release serving —
+//! several ε releases of one graph, error-measurement harnesses, baseline
+//! comparisons — therefore pays the family cost once and replays it from this
+//! cache afterwards.
 //!
-//! The cache is keyed by a 128-bit fingerprint of the graph's CSR arena
-//! (plus vertex count, grid and backend), bounded in size with LRU eviction
-//! (hits refresh an entry's recency), and safe to share across estimators and
-//! threads. Fingerprinting replaces the previous exact-edge-list key: hashing
-//! and key comparison are O(1) in the number of edges instead of O(m), which
-//! matters once graphs reach 10^5–10^6 edges. Every entry keeps the
-//! [`CsrGraph`] it was computed from as a *witness*; a fingerprint hit is
-//! confirmed structurally against the witness before it is served, so a
-//! fingerprint collision degrades to a safe miss, never to a wrong answer.
+//! Lookups take a [`PreparedGraph`], whose fingerprint was computed once when
+//! the snapshot was prepared. The key is that fingerprint plus the grid and an
+//! optional catalog [`GraphTag`]; the cache is bounded in size with LRU
+//! eviction (hits refresh an entry's recency) and safe to share across
+//! estimators and threads. Every entry keeps the prepared graph it was
+//! computed from as its *witness*, and a key hit is served only if the request
+//! graph matches it:
+//!
+//! * a request for the **same snapshot** — the registry's, the stream's or
+//!   any clone of them — confirms by pointer identity, so a hit touches
+//!   neither the arena nor the fingerprint: its cost is the key hash, not
+//!   O(n + m);
+//! * a **separately prepared** graph with an equal key falls back to comparing
+//!   arenas, so a structurally equal graph still hits and a fingerprint
+//!   collision degrades to a safe miss, never to another graph's family.
 //!
 //! Concurrent misses on the same key are **single-flighted**: the first
 //! caller evaluates while the others wait on an in-flight table and receive
@@ -26,30 +32,29 @@
 //! one family evaluation instead of one per thread. Hit/miss/coalesce/
 //! eviction counters are exposed for tests and capacity planning.
 //!
-//! The thread budget and family fast-path toggles of an evaluation are
-//! deliberately **not** part of the key: family values are bit-for-bit
-//! identical for every budget and toggle combination, so an entry computed
-//! with 8 workers and the micro solver answers a sequential, fully general
-//! request and vice versa.
+//! The [`FamilyOptions`] of an evaluation (thread budget and fast-path
+//! toggles) are deliberately **not** part of the key: family values are
+//! bit-for-bit identical for every combination, so an entry computed with 8
+//! workers and the micro solver answers a sequential, fully general request
+//! and vice versa.
 
 use crate::error::CoreError;
-use crate::extension::{evaluate_family_tuned_obs, ExtensionEvaluation, FamilyOptions};
+use crate::extension::{evaluate_family, ExtensionEvaluation, FamilyOptions};
 use ccdp_exec::PhaseProfiler;
-use ccdp_graph::{CsrGraph, GraphVersion};
-use ccdp_lp::SolverBackend;
+use ccdp_graph::{GraphVersion, PreparedGraph};
 use ccdp_obs::{Counter, Gauge, MetricsRegistry, SpanKind, TraceCtx};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Default number of (graph, grid, backend) entries kept per cache.
+/// Default number of (graph, grid) entries kept per cache.
 pub const DEFAULT_FAMILY_CACHE_CAPACITY: usize = 64;
 
 /// Catalog identity of a graph snapshot: which graph, at which version.
 ///
-/// Untagged evaluations are keyed by the exact edge list alone. A serving or
-/// streaming tier that names its graphs tags each evaluation with the
-/// snapshot it came from, which buys two things the edge list cannot:
+/// Untagged evaluations are keyed by the graph's structure alone. A serving
+/// or streaming tier that names its graphs tags each evaluation with the
+/// snapshot it came from, which buys two things the structure cannot:
 /// entries of superseded versions can be [invalidated in
 /// bulk](ExtensionCache::invalidate_graph), and a release served for version
 /// `v` can never replay a family cached under any other version — even if
@@ -79,15 +84,13 @@ impl std::fmt::Display for GraphTag {
     }
 }
 
-/// Identity of one family evaluation: graph fingerprint plus grid, backend
-/// and optional catalog tag. The fingerprint is confirmed against the stored
-/// witness arena before a hit is served (collisions become safe misses).
+/// Identity of one family evaluation: graph fingerprint plus grid and
+/// optional catalog tag. A key hit is confirmed against the stored witness
+/// graph before it is served (collisions become safe misses).
 #[derive(Clone, Debug, Hash, PartialEq, Eq)]
 struct CacheKey {
-    num_vertices: usize,
     fingerprint: u128,
     grid: Vec<usize>,
-    backend: SolverBackend,
     /// Catalog identity, when the caller serves versioned snapshots.
     tag: Option<GraphTag>,
 }
@@ -133,23 +136,23 @@ impl Flight {
     }
 }
 
-/// One stored evaluation with its recency stamp and structural witness.
+/// One stored evaluation with its recency stamp and witness.
 struct CacheEntry {
     evals: Arc<Vec<ExtensionEvaluation>>,
-    /// The CSR arena the evaluation was computed from. A fingerprint hit is
-    /// served only after the request graph matches this witness structurally,
-    /// so a colliding key can never replay another graph's family.
-    witness: Arc<CsrGraph>,
+    /// The snapshot the evaluation was computed from. A key hit is served
+    /// only if the request graph [matches](PreparedGraph::matches) it, so a
+    /// colliding key can never replay another graph's family.
+    witness: PreparedGraph,
     /// Monotonic tick of the last hit (or the insert); the eviction victim
     /// is the minimum. Hits are O(1); the scan cost lives on the rare
     /// over-capacity insert instead.
     last_used: u64,
 }
 
-/// One registered in-flight evaluation with the leader's witness arena.
+/// One registered in-flight evaluation with the leader's witness graph.
 struct InFlightEntry {
     flight: Arc<Flight>,
-    witness: Arc<CsrGraph>,
+    witness: PreparedGraph,
 }
 
 #[derive(Default)]
@@ -301,90 +304,31 @@ impl ExtensionCache {
         dropped
     }
 
-    /// Evaluates the family `{f_Δ}` of `g` on `grid` with `backend`, answering
+    /// Evaluates the family `{f_Δ}` of `g` on `grid` (see
+    /// [`evaluate_family`](crate::extension::evaluate_family)), answering
     /// from the cache when this exact evaluation has been done before, and
     /// joining an in-flight evaluation when another thread is already
     /// computing this exact key.
+    ///
+    /// A `tag` keys the entry by catalog `(id, version)` *in addition to* the
+    /// graph, so evaluations of different snapshot versions never answer for
+    /// each other and can be invalidated per graph or per version range.
+    /// `options` and the observability handles apply to the evaluation on a
+    /// miss only: the profiler records its family phases, and the trace
+    /// context receives a `cache/hit`, `cache/miss` (timed over the
+    /// evaluation) or `cache/coalesced` (timed over the wait) span event.
     pub fn evaluate_family(
         &self,
-        g: &ccdp_graph::Graph,
+        g: &PreparedGraph,
         grid: &[usize],
-        backend: SolverBackend,
-    ) -> Result<Arc<Vec<ExtensionEvaluation>>, CoreError> {
-        self.evaluate_family_tagged(g, grid, backend, None, 1)
-    }
-
-    /// [`evaluate_family`](Self::evaluate_family) with a thread budget for
-    /// the evaluation on a miss. The budget never enters the cache key —
-    /// family values are identical for every budget — so threaded and
-    /// sequential callers share entries.
-    pub fn evaluate_family_threaded(
-        &self,
-        g: &ccdp_graph::Graph,
-        grid: &[usize],
-        backend: SolverBackend,
-        threads: usize,
-    ) -> Result<Arc<Vec<ExtensionEvaluation>>, CoreError> {
-        self.evaluate_family_tagged(g, grid, backend, None, threads)
-    }
-
-    /// [`evaluate_family`](Self::evaluate_family) with an optional catalog
-    /// [`GraphTag`] and a thread budget. Tagged entries are keyed by
-    /// `(id, version)` *in addition to* the graph fingerprint, so evaluations
-    /// of different snapshot versions never answer for each other and can be
-    /// invalidated per graph or per version range.
-    pub fn evaluate_family_tagged(
-        &self,
-        g: &ccdp_graph::Graph,
-        grid: &[usize],
-        backend: SolverBackend,
         tag: Option<&GraphTag>,
-        threads: usize,
-    ) -> Result<Arc<Vec<ExtensionEvaluation>>, CoreError> {
-        self.evaluate_family_tuned(g, grid, backend, tag, threads, FamilyOptions::default())
-    }
-
-    /// [`evaluate_family_tagged`](Self::evaluate_family_tagged) with explicit
-    /// family fast-path toggles for the evaluation on a miss. Like the thread
-    /// budget, the toggles never enter the cache key: every combination
-    /// produces bit-identical family values, so toggled and default callers
-    /// share entries.
-    pub fn evaluate_family_tuned(
-        &self,
-        g: &ccdp_graph::Graph,
-        grid: &[usize],
-        backend: SolverBackend,
-        tag: Option<&GraphTag>,
-        threads: usize,
-        options: FamilyOptions,
-    ) -> Result<Arc<Vec<ExtensionEvaluation>>, CoreError> {
-        self.evaluate_family_observed(g, grid, backend, tag, threads, options, None, None)
-    }
-
-    /// [`evaluate_family_tuned`](Self::evaluate_family_tuned) with optional
-    /// observability handles: the profiler records family phase timings on a
-    /// miss (leading or uncached evaluation), and the trace context receives
-    /// a `cache/hit`, `cache/miss` (timed over the evaluation) or
-    /// `cache/coalesced` (timed over the wait) span event for the lookup.
-    /// Observation only — values, keys and counters are unchanged.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_family_observed(
-        &self,
-        g: &ccdp_graph::Graph,
-        grid: &[usize],
-        backend: SolverBackend,
-        tag: Option<&GraphTag>,
-        threads: usize,
-        options: FamilyOptions,
+        options: &FamilyOptions,
         profiler: Option<&PhaseProfiler>,
         trace: Option<&TraceCtx>,
     ) -> Result<Arc<Vec<ExtensionEvaluation>>, CoreError> {
-        let csr = Arc::new(CsrGraph::from_graph(g));
         let key = CacheKey {
-            num_vertices: g.num_vertices(),
-            fingerprint: csr.fingerprint(),
+            fingerprint: g.fingerprint(),
             grid: grid.to_vec(),
-            backend,
             tag: tag.cloned(),
         };
 
@@ -393,10 +337,11 @@ impl ExtensionCache {
             let mut inner = self.lock();
             let tick = inner.next_tick();
             if let Some(entry) = inner.map.get_mut(&key) {
-                // Confirm the fingerprint hit structurally before serving it:
-                // a collision must degrade to a miss, never replay another
+                // Confirm the key hit before serving it: the same snapshot
+                // confirms by pointer, anything else by its arena, so a
+                // collision degrades to a miss and never replays another
                 // graph's family.
-                if entry.witness.matches_graph(g) {
+                if entry.witness.matches(g) {
                     entry.last_used = tick;
                     self.hits.inc();
                     if let Some(ctx) = trace {
@@ -406,7 +351,7 @@ impl ExtensionCache {
                 }
             }
             match inner.in_flight.get(&key) {
-                Some(in_flight) if in_flight.witness.matches_graph(g) => {
+                Some(in_flight) if in_flight.witness.matches(g) => {
                     // Someone else is already evaluating this exact graph:
                     // join their flight instead of racing a duplicate
                     // evaluation.
@@ -423,30 +368,23 @@ impl ExtensionCache {
                         key.clone(),
                         InFlightEntry {
                             flight: Arc::new(Flight::new()),
-                            witness: Arc::clone(&csr),
+                            witness: g.clone(),
                         },
                     );
                     LookupAction::Lead
                 }
             }
         };
-        match action {
+        let result = match action {
             LookupAction::Join(flight) => {
                 let result = flight.wait();
                 if let Some(ctx) = trace {
                     ctx.event_timed(SpanKind::CacheCoalesced, started.expect("timed").elapsed());
                 }
-                result
+                return result;
             }
             LookupAction::EvaluateUncached => {
-                let result =
-                    evaluate_family_tuned_obs(g, grid, backend, threads, options, profiler)
-                        .map(Arc::new);
-                self.misses.inc();
-                if let Some(ctx) = trace {
-                    ctx.event_timed(SpanKind::CacheMiss, started.expect("timed").elapsed());
-                }
-                result
+                evaluate_family(g, grid, options, profiler).map(Arc::new)
             }
             LookupAction::Lead => {
                 // We are the flight leader: evaluate outside the lock (family
@@ -458,20 +396,19 @@ impl ExtensionCache {
                 let guard = FlightGuard {
                     cache: self,
                     key,
-                    witness: csr,
+                    witness: g.clone(),
                     armed: true,
                 };
-                let result =
-                    evaluate_family_tuned_obs(g, grid, backend, threads, options, profiler)
-                        .map(Arc::new);
+                let result = evaluate_family(g, grid, options, profiler).map(Arc::new);
                 guard.finish(result.clone());
-                self.misses.inc();
-                if let Some(ctx) = trace {
-                    ctx.event_timed(SpanKind::CacheMiss, started.expect("timed").elapsed());
-                }
                 result
             }
+        };
+        self.misses.inc();
+        if let Some(ctx) = trace {
+            ctx.event_timed(SpanKind::CacheMiss, started.expect("timed").elapsed());
         }
+        result
     }
 
     /// Removes the flight for `key` (returning it so the caller can publish),
@@ -479,7 +416,7 @@ impl ExtensionCache {
     fn complete_flight(
         &self,
         key: &CacheKey,
-        witness: &Arc<CsrGraph>,
+        witness: &PreparedGraph,
         result: &Result<Arc<Vec<ExtensionEvaluation>>, CoreError>,
     ) -> Option<Arc<Flight>> {
         let mut inner = self.lock();
@@ -508,7 +445,7 @@ impl ExtensionCache {
                     key.clone(),
                     CacheEntry {
                         evals: Arc::clone(evals),
-                        witness: Arc::clone(witness),
+                        witness: witness.clone(),
                         last_used: tick,
                     },
                 );
@@ -542,7 +479,7 @@ enum LookupAction {
 struct FlightGuard<'a> {
     cache: &'a ExtensionCache,
     key: CacheKey,
-    witness: Arc<CsrGraph>,
+    witness: PreparedGraph,
     armed: bool,
 }
 
@@ -601,17 +538,38 @@ mod tests {
     use super::*;
     use ccdp_graph::{generators, Graph};
 
+    fn prepared(g: Graph) -> PreparedGraph {
+        PreparedGraph::from(g)
+    }
+
+    fn lookup(
+        cache: &ExtensionCache,
+        g: &PreparedGraph,
+        grid: &[usize],
+    ) -> Arc<Vec<ExtensionEvaluation>> {
+        cache
+            .evaluate_family(g, grid, None, &FamilyOptions::default(), None, None)
+            .unwrap()
+    }
+
+    fn lookup_tagged(cache: &ExtensionCache, g: &PreparedGraph, grid: &[usize], tag: &GraphTag) {
+        cache
+            .evaluate_family(g, grid, Some(tag), &FamilyOptions::default(), None, None)
+            .unwrap();
+    }
+
+    fn values(evals: &[ExtensionEvaluation]) -> Vec<u64> {
+        evals.iter().map(|e| e.value.to_bits()).collect()
+    }
+
     #[test]
     fn repeated_evaluations_hit_the_cache() {
         let cache = ExtensionCache::new(8);
-        let g = generators::caveman(3, 4);
+        let g = prepared(generators::caveman(3, 4));
         let grid = [1usize, 2, 4, 8];
-        let first = cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        let second = cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        let first = lookup(&cache, &g, &grid);
+        // A clone is the same snapshot: confirmed by pointer identity.
+        let second = lookup(&cache, &g.clone(), &grid);
         assert!(Arc::ptr_eq(&first, &second));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
@@ -620,44 +578,99 @@ mod tests {
     }
 
     #[test]
-    fn different_graphs_grids_and_backends_are_distinct_entries() {
+    fn separately_prepared_equal_graph_hits() {
+        // A foreign snapshot (built on its own, so no shared arena) that is
+        // structurally equal to a cached one confirms by its arena and hits.
         let cache = ExtensionCache::new(8);
-        let a = generators::path(5);
-        let b = generators::cycle(5);
         let grid = [1usize, 2, 4];
-        cache
-            .evaluate_family(&a, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        cache
-            .evaluate_family(&b, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        cache
-            .evaluate_family(&a, &grid[..2], SolverBackend::Combinatorial)
-            .unwrap();
-        cache
-            .evaluate_family(&a, &grid, SolverBackend::Simplex)
-            .unwrap();
+        let a = prepared(generators::caveman(3, 4));
+        let b = prepared(generators::caveman(3, 4));
+        assert!(!a.same_snapshot(&b));
+        let first = lookup(&cache, &a, &grid);
+        let second = lookup(&cache, &b, &grid);
+        assert!(Arc::ptr_eq(&first, &second));
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 4, 4));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn forged_key_collision_misses_and_evaluates_the_request_graph() {
+        // Graph A's family is stored under graph B's key, as a fingerprint
+        // collision would store it. A lookup of B must miss and evaluate B;
+        // it must never return A's family.
+        let cache = ExtensionCache::new(8);
+        let grid = [1usize, 2, 4];
+        let a = prepared(generators::star(5));
+        let b = prepared(generators::path(6));
+        let a_family = lookup(&cache, &a, &grid);
+        let b_family = evaluate_family(&b, &grid, &FamilyOptions::default(), None).unwrap();
+        assert_ne!(values(&a_family), values(&b_family));
+        let forged = CacheKey {
+            fingerprint: b.fingerprint(),
+            grid: grid.to_vec(),
+            tag: None,
+        };
+        {
+            let mut inner = cache.lock();
+            let tick = inner.next_tick();
+            inner.map.insert(
+                forged.clone(),
+                CacheEntry {
+                    evals: Arc::clone(&a_family),
+                    witness: a.clone(),
+                    last_used: tick,
+                },
+            );
+        }
+        let misses = cache.stats().misses;
+        let got = lookup(&cache, &b, &grid);
+        assert!(!Arc::ptr_eq(&got, &a_family));
+        assert_eq!(values(&got), values(&b_family));
+        assert_eq!(cache.stats().misses, misses + 1);
+
+        // The same holds when the colliding graph is still in flight: B is
+        // evaluated on the side and never joins A's flight.
+        cache.lock().map.remove(&forged);
+        let flight = Arc::new(Flight::new());
+        cache.lock().in_flight.insert(
+            forged.clone(),
+            InFlightEntry {
+                flight: Arc::clone(&flight),
+                witness: a.clone(),
+            },
+        );
+        let got = lookup(&cache, &b, &grid);
+        assert_eq!(values(&got), values(&b_family));
+        assert_eq!(cache.stats().coalesced, 0);
+        assert!(!cache.lock().map.contains_key(&forged));
+    }
+
+    #[test]
+    fn different_graphs_and_grids_are_distinct_entries() {
+        let cache = ExtensionCache::new(8);
+        let a = prepared(generators::path(5));
+        let b = prepared(generators::cycle(5));
+        let grid = [1usize, 2, 4];
+        lookup(&cache, &a, &grid);
+        lookup(&cache, &b, &grid);
+        lookup(&cache, &a, &grid[..2]);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 3, 3));
     }
 
     #[test]
     fn capacity_is_enforced_lru() {
         let cache = ExtensionCache::new(2);
         let grid = [1usize, 2];
-        let graphs: Vec<Graph> = (3..6).map(generators::path).collect();
+        let graphs: Vec<PreparedGraph> = (3..6).map(|n| prepared(generators::path(n))).collect();
         for g in &graphs {
-            cache
-                .evaluate_family(g, &grid, SolverBackend::Combinatorial)
-                .unwrap();
+            lookup(&cache, g, &grid);
         }
         assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.stats().evictions, 1);
         // The least recently used entry (path(3)) was evicted: re-evaluating
         // it misses.
-        cache
-            .evaluate_family(&graphs[0], &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        lookup(&cache, &graphs[0], &grid);
         assert_eq!(cache.stats().misses, 4);
     }
 
@@ -665,33 +678,21 @@ mod tests {
     fn hits_refresh_recency_so_eviction_is_lru_not_fifo() {
         let cache = ExtensionCache::new(2);
         let grid = [1usize, 2];
-        let a = generators::path(3);
-        let b = generators::path(4);
-        let c = generators::path(5);
-        cache
-            .evaluate_family(&a, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        cache
-            .evaluate_family(&b, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        let a = prepared(generators::path(3));
+        let b = prepared(generators::path(4));
+        let c = prepared(generators::path(5));
+        lookup(&cache, &a, &grid);
+        lookup(&cache, &b, &grid);
         // Touch `a`: under FIFO it would still be evicted next; under LRU the
         // victim becomes `b`.
-        cache
-            .evaluate_family(&a, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        cache
-            .evaluate_family(&c, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        lookup(&cache, &a, &grid);
+        lookup(&cache, &c, &grid);
         let before = cache.stats();
         assert_eq!((before.evictions, before.entries), (1, 2));
         // `a` must still be resident (hit), `b` must have been evicted (miss).
-        cache
-            .evaluate_family(&a, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        lookup(&cache, &a, &grid);
         assert_eq!(cache.stats().hits, before.hits + 1);
-        cache
-            .evaluate_family(&b, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        lookup(&cache, &b, &grid);
         assert_eq!(cache.stats().misses, before.misses + 1);
     }
 
@@ -699,38 +700,28 @@ mod tests {
     fn clear_drops_entries_but_keeps_counters() {
         let cache = ExtensionCache::new(8);
         let grid = [1usize, 2];
-        let g = generators::path(4);
-        cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        let g = prepared(generators::path(4));
+        lookup(&cache, &g, &grid);
+        lookup(&cache, &g, &grid);
         cache.clear();
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // A cleared cache re-evaluates.
-        cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        lookup(&cache, &g, &grid);
         assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
     fn cached_values_match_direct_evaluation() {
         let cache = ExtensionCache::default();
-        let g = generators::complete(5);
+        let g = prepared(generators::complete(5));
         let grid = [1usize, 2, 4];
-        let cached = cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        let direct =
-            crate::extension::evaluate_family_with(&g, &grid, SolverBackend::Combinatorial)
-                .unwrap();
+        let cached = lookup(&cache, &g, &grid);
+        let direct = evaluate_family(&g, &grid, &FamilyOptions::default(), None).unwrap();
         assert_eq!(cached.len(), direct.len());
         for (c, d) in cached.iter().zip(&direct) {
-            assert!((c.value - d.value).abs() < 1e-12);
+            assert_eq!(c.value.to_bits(), d.value.to_bits());
             assert_eq!(c.delta, d.delta);
             assert_eq!(c.path, d.path);
         }
@@ -741,13 +732,15 @@ mod tests {
         // A sequential evaluation answers a threaded request and vice versa:
         // values are identical for every budget, so the entries are shared.
         let cache = ExtensionCache::new(8);
-        let g = generators::caveman(3, 4);
+        let g = prepared(generators::caveman(3, 4));
         let grid = [1usize, 2, 4, 8];
-        let seq = cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        let seq = lookup(&cache, &g, &grid);
+        let options = FamilyOptions {
+            threads: 8,
+            ..FamilyOptions::default()
+        };
         let par = cache
-            .evaluate_family_threaded(&g, &grid, SolverBackend::Combinatorial, 8)
+            .evaluate_family(&g, &grid, None, &options, None, None)
             .unwrap();
         assert!(Arc::ptr_eq(&seq, &par));
         let stats = cache.stats();
@@ -757,48 +750,37 @@ mod tests {
     #[test]
     fn tags_separate_versions_of_one_graph() {
         let cache = ExtensionCache::new(8);
-        let g = generators::path(5);
+        let g = prepared(generators::path(5));
         let grid = [1usize, 2, 4];
         let v0 = GraphTag::new("fleet/g0", GraphVersion::INITIAL);
         let v1 = GraphTag::new("fleet/g0", GraphVersion::new(1));
-        // Same edge list, different versions: distinct entries, no replay.
-        cache
-            .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&v0), 1)
-            .unwrap();
-        cache
-            .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&v1), 1)
-            .unwrap();
-        // And distinct from the untagged entry of the same edge list.
-        cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        // Same snapshot, different versions: distinct entries, no replay.
+        lookup_tagged(&cache, &g, &grid, &v0);
+        lookup_tagged(&cache, &g, &grid, &v1);
+        // And distinct from the untagged entry of the same graph.
+        lookup(&cache, &g, &grid);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 3, 3));
         // Re-asking for a version is a hit.
-        cache
-            .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&v0), 1)
-            .unwrap();
+        lookup_tagged(&cache, &g, &grid, &v0);
         assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
     fn invalidate_graph_bulk_evicts_all_versions() {
         let cache = ExtensionCache::new(16);
-        let g = generators::path(4);
+        let g = prepared(generators::path(4));
         let grid = [1usize, 2];
         for v in 0..3 {
-            let tag = GraphTag::new("a", GraphVersion::new(v));
-            cache
-                .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&tag), 1)
-                .unwrap();
+            lookup_tagged(&cache, &g, &grid, &GraphTag::new("a", GraphVersion::new(v)));
         }
-        let other = GraphTag::new("b", GraphVersion::INITIAL);
-        cache
-            .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&other), 1)
-            .unwrap();
-        cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        lookup_tagged(
+            &cache,
+            &g,
+            &grid,
+            &GraphTag::new("b", GraphVersion::INITIAL),
+        );
+        lookup(&cache, &g, &grid);
         assert_eq!(cache.invalidate_graph("a"), 3);
         let stats = cache.stats();
         assert_eq!(stats.invalidations, 3);
@@ -806,23 +788,17 @@ mod tests {
         // involved.
         assert_eq!((stats.entries, stats.evictions), (2, 0));
         // The invalidated versions re-evaluate from scratch.
-        let tag = GraphTag::new("a", GraphVersion::new(2));
-        cache
-            .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&tag), 1)
-            .unwrap();
+        lookup_tagged(&cache, &g, &grid, &GraphTag::new("a", GraphVersion::new(2)));
         assert_eq!(cache.stats().misses, 6);
     }
 
     #[test]
     fn invalidate_versions_below_keeps_the_frontier() {
         let cache = ExtensionCache::new(16);
-        let g = generators::star(4);
+        let g = prepared(generators::star(4));
         let grid = [1usize, 2];
         for v in 0..4 {
-            let tag = GraphTag::new("g", GraphVersion::new(v));
-            cache
-                .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&tag), 1)
-                .unwrap();
+            lookup_tagged(&cache, &g, &grid, &GraphTag::new("g", GraphVersion::new(v)));
         }
         assert_eq!(
             cache.invalidate_versions_below("g", GraphVersion::new(3)),
@@ -830,17 +806,14 @@ mod tests {
         );
         assert_eq!(cache.stats().entries, 1);
         // The frontier version is still a hit.
-        let tag = GraphTag::new("g", GraphVersion::new(3));
-        cache
-            .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&tag), 1)
-            .unwrap();
+        lookup_tagged(&cache, &g, &grid, &GraphTag::new("g", GraphVersion::new(3)));
         assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
     fn racing_threads_coalesce_to_one_evaluation() {
         let cache = Arc::new(ExtensionCache::new(8));
-        let g = generators::caveman(4, 5);
+        let g = prepared(generators::caveman(4, 5));
         let grid = [1usize, 2, 4, 8, 16];
         let threads = 8;
         let barrier = Arc::new(std::sync::Barrier::new(threads));
@@ -851,9 +824,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    cache
-                        .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-                        .unwrap()
+                    lookup(&cache, &g, &grid)
                 })
             })
             .collect();

@@ -11,10 +11,9 @@ use crate::cache::{ExtensionCache, GraphTag};
 use crate::extension::FamilyOptions;
 use ccdp_exec::PhaseProfiler;
 use ccdp_graph::GraphVersion;
-use ccdp_lp::SolverBackend;
 use ccdp_obs::TraceCtx;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-request observability handles threaded through an estimator run:
 /// an optional trace context (span events land in its ring buffer) and an
@@ -129,7 +128,6 @@ pub struct EstimatorConfig {
     beta: Option<f64>,
     delta_max: Option<usize>,
     node_count_fraction: f64,
-    solver: SolverBackend,
     family_cache_enabled: bool,
     shared_family_cache: Option<Arc<ExtensionCache>>,
     graph_tag: Option<GraphTag>,
@@ -150,7 +148,6 @@ impl PartialEq for EstimatorConfig {
             && self.beta == other.beta
             && self.delta_max == other.delta_max
             && self.node_count_fraction == other.node_count_fraction
-            && self.solver == other.solver
             && self.family_cache_enabled == other.family_cache_enabled
             && same_cache
             && self.graph_tag == other.graph_tag
@@ -172,7 +169,6 @@ impl EstimatorConfig {
             beta: None,
             delta_max: None,
             node_count_fraction: Self::DEFAULT_NODE_COUNT_FRACTION,
-            solver: SolverBackend::default(),
             family_cache_enabled: true,
             shared_family_cache: None,
             graph_tag: None,
@@ -254,16 +250,6 @@ impl EstimatorConfig {
         self
     }
 
-    /// Selects the forest-polytope solver backend (default
-    /// [`SolverBackend::Combinatorial`]).
-    ///
-    /// A public, data-independent implementation choice: both backends are
-    /// exact, so this affects runtime only, never privacy or accuracy.
-    pub fn with_solver(mut self, solver: SolverBackend) -> Self {
-        self.solver = solver;
-        self
-    }
-
     /// Enables or disables the per-estimator Lipschitz-extension family cache
     /// (default enabled). Caching only memoizes a deterministic,
     /// never-released intermediate, so it does not affect privacy.
@@ -312,11 +298,6 @@ impl EstimatorConfig {
         self.node_count_fraction
     }
 
-    /// The selected forest-polytope solver backend.
-    pub fn solver(&self) -> SolverBackend {
-        self.solver
-    }
-
     /// Whether the family cache is enabled.
     pub fn family_caching(&self) -> bool {
         self.family_cache_enabled
@@ -347,11 +328,14 @@ impl EstimatorConfig {
         self.solve_dedup
     }
 
-    /// The family-engine fast-path toggles this configuration selects.
+    /// The family-engine execution knobs this configuration selects: the
+    /// fast-path toggles and the [resolved](Self::resolved_threads) thread
+    /// budget.
     pub fn family_options(&self) -> FamilyOptions {
         FamilyOptions {
             micro: self.micro_solver,
             dedup: self.solve_dedup,
+            threads: self.resolved_threads(),
         }
     }
 
@@ -363,10 +347,17 @@ impl EstimatorConfig {
     /// explicit budget above the hardware limit is clamped. Results are
     /// bit-for-bit identical for every budget, so the clamp never changes
     /// output.
+    ///
+    /// The hardware limit is queried once per process: on cgroup hosts
+    /// `available_parallelism` reads `/proc` on every call, which would
+    /// otherwise land on every request's hot path.
     pub fn resolved_threads(&self) -> usize {
-        let hardware = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        static HARDWARE: OnceLock<usize> = OnceLock::new();
+        let hardware = *HARDWARE.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
         match self.threads {
             Some(requested) => requested.min(hardware).max(1),
             None => hardware,
@@ -502,15 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn solver_backend_defaults_to_combinatorial_and_is_selectable() {
-        let config = EstimatorConfig::new(1.0);
-        assert_eq!(config.solver(), SolverBackend::Combinatorial);
-        let config = config.with_solver(SolverBackend::Simplex);
-        assert_eq!(config.solver(), SolverBackend::Simplex);
-        assert!(config.validate().is_ok());
-    }
-
-    #[test]
     fn family_cache_resolution_honors_the_knobs() {
         // Default: caching on, fresh private cache.
         assert!(EstimatorConfig::new(1.0).resolve_family_cache().is_some());
@@ -567,7 +549,8 @@ mod tests {
     fn fast_path_toggles_default_on_and_round_trip() {
         let cfg = EstimatorConfig::new(1.0);
         assert!(cfg.micro_solver() && cfg.solve_dedup());
-        assert_eq!(cfg.family_options(), FamilyOptions::default());
+        let options = cfg.clone().with_threads(1).family_options();
+        assert_eq!(options, FamilyOptions::default());
         let cfg = cfg.with_micro_solver(false).with_solve_dedup(false);
         assert!(!cfg.micro_solver() && !cfg.solve_dedup());
         assert!(cfg.validate().is_ok());
@@ -587,10 +570,6 @@ mod tests {
         assert_ne!(
             EstimatorConfig::new(1.0),
             EstimatorConfig::new(1.0).with_threads(4)
-        );
-        assert_ne!(
-            EstimatorConfig::new(1.0),
-            EstimatorConfig::new(1.0).with_solver(SolverBackend::Simplex)
         );
         assert_ne!(
             EstimatorConfig::new(1.0).with_graph_tag("g", GraphVersion::INITIAL),

@@ -9,7 +9,7 @@
 //! ```
 //! use ccdp_core::baselines::{EdgeDpBaseline, NonPrivateBaseline};
 //! use ccdp_core::{Estimator, PrivateCcEstimator};
-//! use ccdp_graph::generators;
+//! use ccdp_graph::{generators, PreparedGraph};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
@@ -18,7 +18,8 @@
 //!     Box::new(EdgeDpBaseline::new(1.0).unwrap()),
 //!     Box::new(PrivateCcEstimator::new(1.0).unwrap()),
 //! ];
-//! let g = generators::planted_star_forest(10, 2, 3);
+//! // Prepare the snapshot once; every estimator reads the same arena.
+//! let g = PreparedGraph::from(generators::planted_star_forest(10, 2, 3));
 //! let mut rng = StdRng::seed_from_u64(7);
 //! for est in &fleet {
 //!     let release = est.estimate(&g, &mut rng).unwrap();
@@ -28,7 +29,7 @@
 
 use crate::error::CcdpError;
 use crate::release::{Privacy, Release};
-use ccdp_graph::Graph;
+use ccdp_graph::PreparedGraph;
 use rand::RngCore;
 
 /// An estimator of a graph statistic that produces a typed [`Release`].
@@ -43,8 +44,8 @@ pub trait Estimator {
     /// The privacy guarantee this estimator advertises for its releases.
     fn privacy(&self) -> Privacy;
 
-    /// Runs the estimator on `g`.
-    fn estimate(&self, g: &Graph, rng: &mut dyn RngCore) -> Result<Release, CcdpError>;
+    /// Runs the estimator on the prepared snapshot `g`.
+    fn estimate(&self, g: &PreparedGraph, rng: &mut dyn RngCore) -> Result<Release, CcdpError>;
 }
 
 #[cfg(test)]

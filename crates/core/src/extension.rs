@@ -15,20 +15,11 @@
 //! analysis targets; the LP is only exercised when Δ is below the graph's Δ*.
 
 use crate::error::CoreError;
-use crate::polytope::{
-    forest_polytope_max_threaded, forest_polytope_max_with, PolytopeSolution, SolverBackend,
-};
-use ccdp_exec::{parallel_map, PhaseProfiler};
+use crate::polytope::{forest_polytope_max_with, PolytopeSolution, SolverBackend};
+use ccdp_exec::PhaseProfiler;
 use ccdp_graph::forest::{bounded_degree_spanning_forest, bounded_degree_spanning_forest_csr};
-use ccdp_graph::{CsrGraph, Graph};
+use ccdp_graph::{Graph, PreparedGraph};
 use ccdp_lp::{solve_partition, SolveOptions};
-
-/// Minimum work size (`n + m`) before a family evaluation fans out across
-/// threads. Below this the per-task overhead of the thread pool outweighs
-/// the solve itself, and the serving tier's small graphs stay on the exact
-/// sequential path. The gate depends only on the graph, never on load, so
-/// results stay deterministic.
-const PARALLEL_WORK_THRESHOLD: usize = 4096;
 
 /// How `f_Δ(G)` was computed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,7 +43,14 @@ pub struct ExtensionEvaluation {
     pub lp: Option<PolytopeSolution>,
 }
 
-/// The Lipschitz extension `f_Δ` for the size of the spanning forest.
+/// The Lipschitz extension `f_Δ` for the size of the spanning forest,
+/// evaluated one Δ at a time on an adjacency-list [`Graph`].
+///
+/// This is the paper's `EvalLipschitzExtension` written as directly as
+/// possible. The estimators evaluate the whole family through
+/// [`evaluate_family`] instead, which returns the same bits; this type stays
+/// as the reference oracle (and the only way to reach the
+/// [`SolverBackend::Simplex`] backend).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LipschitzExtension {
     delta: usize,
@@ -105,19 +103,6 @@ impl LipschitzExtension {
 
     /// Evaluates `f_Δ(G)` and reports how the value was obtained.
     pub fn evaluate_detailed(&self, g: &Graph) -> Result<ExtensionEvaluation, CoreError> {
-        self.evaluate_detailed_threaded(g, 1)
-    }
-
-    /// [`evaluate_detailed`](Self::evaluate_detailed) with a thread budget:
-    /// when the LP path is taken, its connected components are solved on up
-    /// to `threads` workers. The value is identical for every budget
-    /// (components merge in a fixed order); `threads <= 1` is exactly the
-    /// sequential path.
-    pub fn evaluate_detailed_threaded(
-        &self,
-        g: &Graph,
-        threads: usize,
-    ) -> Result<ExtensionEvaluation, CoreError> {
         if g.has_no_edges() {
             return Ok(ExtensionEvaluation {
                 value: 0.0,
@@ -137,11 +122,7 @@ impl LipschitzExtension {
                 lp: None,
             });
         }
-        let lp = if threads <= 1 {
-            forest_polytope_max_with(g, self.delta as f64, self.backend)?
-        } else {
-            forest_polytope_max_threaded(g, self.delta as f64, self.backend, threads)?
-        };
+        let lp = forest_polytope_max_with(g, self.delta as f64, self.backend)?;
         Ok(ExtensionEvaluation {
             value: lp.value,
             delta: self.delta,
@@ -151,18 +132,21 @@ impl LipschitzExtension {
     }
 }
 
-/// Fast-path toggles for the large-graph (CSR-partition) family engine.
+/// Execution knobs of [`evaluate_family`].
 ///
-/// Both are on by default and both are pure execution knobs: the micro solver
-/// replicates the general solver bit-for-bit and dedup only reuses solutions
-/// across identical labeled component slices, so every combination yields the
-/// same family values. Exposed so benches can ablate each path.
+/// All three are pure execution choices: the micro solver replicates the
+/// general solver bit-for-bit, dedup only reuses solutions across identical
+/// labeled component slices, and components merge in a fixed order whatever
+/// the thread budget. Every combination yields the same family values, so
+/// none of them is part of a cache key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FamilyOptions {
     /// Enable micro-component closed forms / mirrored fast solves.
     pub micro: bool,
     /// Enable isomorphism-class (labeled-slice) solve dedup.
     pub dedup: bool,
+    /// Worker threads for per-component solving (`<= 1` is sequential).
+    pub threads: usize,
 }
 
 impl Default for FamilyOptions {
@@ -170,6 +154,7 @@ impl Default for FamilyOptions {
         FamilyOptions {
             micro: true,
             dedup: true,
+            threads: 1,
         }
     }
 }
@@ -186,144 +171,17 @@ impl FamilyOptions {
     }
 }
 
-/// Evaluates the whole family `{f_Δ}` on the given grid of Δ values with the
-/// default (combinatorial) backend.
+/// Evaluates the whole family `{f_Δ}` of a prepared graph on `grid`.
 ///
 /// This is the loop of Algorithm 4 (steps 2–4) that feeds the Generalized
-/// Exponential Mechanism. Values are clamped to be monotone non-decreasing in Δ,
-/// which they are mathematically (Lemma 3.3) but may fail to be by a hair
+/// Exponential Mechanism. Values are clamped to be monotone non-decreasing in
+/// Δ, which they are mathematically (Lemma 3.3) but may fail to be by a hair
 /// numerically when different Δ values take different evaluation paths.
-pub fn evaluate_family(g: &Graph, grid: &[usize]) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    evaluate_family_with(g, grid, SolverBackend::default())
-}
-
-/// [`evaluate_family`] with an explicitly selected polytope solver backend.
 ///
-/// Repeated evaluations of the same graph should go through
-/// [`ExtensionCache`](crate::cache::ExtensionCache) instead, which wraps this
-/// function with a graph-keyed memo.
-pub fn evaluate_family_with(
-    g: &Graph,
-    grid: &[usize],
-    backend: SolverBackend,
-) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    evaluate_family_tuned(g, grid, backend, 1, FamilyOptions::default())
-}
-
-/// [`evaluate_family_with`] with a thread budget.
-///
-/// The output is bit-for-bit identical for every thread budget; `threads <= 1`
-/// (or a graph below the work threshold) takes the sequential path itself.
-pub fn evaluate_family_threaded(
-    g: &Graph,
-    grid: &[usize],
-    backend: SolverBackend,
-    threads: usize,
-) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    evaluate_family_tuned(g, grid, backend, threads, FamilyOptions::default())
-}
-
-/// The full-knob family evaluation: backend, thread budget and fast-path
-/// toggles.
-///
-/// Large graphs (`n + m ≥` the work threshold) on the combinatorial backend
-/// route through the CSR-partition engine regardless of the thread budget: the
-/// graph is partitioned into a component-contiguous arena **once**, each grid
-/// point reuses it, and per-component solving goes through the micro/dedup
-/// fast paths of `ccdp_lp`. The engine merges per-component values in
-/// component order, so its results are bit-for-bit identical to the historical
-/// per-Δ sequential path — for every thread budget and toggle combination.
-/// Small graphs and the simplex backend keep the historical paths.
-pub fn evaluate_family_tuned(
-    g: &Graph,
-    grid: &[usize],
-    backend: SolverBackend,
-    threads: usize,
-    options: FamilyOptions,
-) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    evaluate_family_tuned_obs(g, grid, backend, threads, options, None)
-}
-
-/// [`evaluate_family_tuned`] with an optional [`PhaseProfiler`].
-///
-/// The CSR route records its usual `family/partition` / `family/anchor` /
-/// `family/lp` phases (see [`evaluate_family_csr_profiled`]); the small-graph
-/// and simplex routes — which have no internal phase structure — record the
-/// whole evaluation as one `family/direct` phase, so every profiled request
-/// carries at least one family phase regardless of which engine ran.
-/// Profiling never changes values.
-pub fn evaluate_family_tuned_obs(
-    g: &Graph,
-    grid: &[usize],
-    backend: SolverBackend,
-    threads: usize,
-    options: FamilyOptions,
-    profiler: Option<&PhaseProfiler>,
-) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    let work = g.num_vertices() + g.num_edges();
-    if backend == SolverBackend::Combinatorial && work >= PARALLEL_WORK_THRESHOLD {
-        let arena = CsrGraph::from_graph(g);
-        return evaluate_family_csr_profiled(&arena, grid, threads, options, profiler);
-    }
-    let _direct_timer = profiler.map(|p| p.phase("family/direct"));
-    if threads <= 1 || work < PARALLEL_WORK_THRESHOLD {
-        let mut out = Vec::with_capacity(grid.len());
-        let mut running_max = 0.0f64;
-        for &delta in grid {
-            let mut eval = LipschitzExtension::new(delta)
-                .with_backend(backend)
-                .evaluate_detailed(g)?;
-            running_max = running_max.max(eval.value);
-            eval.value = running_max;
-            out.push(eval);
-        }
-        return Ok(out);
-    }
-    // Simplex backend above the work threshold: fan out one task per Δ, then
-    // apply the running-max clamp in grid order — exactly the order the
-    // sequential loop uses. A single-point grid parallelizes across connected
-    // components instead.
-    let results = if grid.len() > 1 {
-        parallel_map(threads, grid.len(), |i| {
-            LipschitzExtension::new(grid[i])
-                .with_backend(backend)
-                .evaluate_detailed(g)
-        })
-    } else {
-        grid.iter()
-            .map(|&delta| {
-                LipschitzExtension::new(delta)
-                    .with_backend(backend)
-                    .evaluate_detailed_threaded(g, threads)
-            })
-            .collect()
-    };
-    let mut out = Vec::with_capacity(grid.len());
-    let mut running_max = 0.0f64;
-    for result in results {
-        let mut eval = result?;
-        running_max = running_max.max(eval.value);
-        eval.value = running_max;
-        out.push(eval);
-    }
-    Ok(out)
-}
-
-/// Evaluates the family directly on a CSR arena with default toggles — the
-/// entry point for graphs built by
-/// [`CsrGraph::from_edge_stream`](ccdp_graph::CsrGraph::from_edge_stream)
-/// that never materialize an adjacency-list [`Graph`].
-pub fn evaluate_family_csr(
-    arena: &CsrGraph,
-    grid: &[usize],
-    threads: usize,
-) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    evaluate_family_csr_with(arena, grid, threads, FamilyOptions::default())
-}
-
-/// [`evaluate_family_csr`] with explicit fast-path toggles.
-///
-/// Semantics mirror the adjacency-list path exactly, decision for decision:
+/// The graph is partitioned into a component-contiguous arena once and every
+/// grid point reuses it. Each point returns the bits, value and
+/// [`EvaluationPath`] label that [`LipschitzExtension::evaluate_detailed`]
+/// returns on the same graph:
 ///
 /// * the spanning-forest fast path fires iff `Δ ≥ max_degree` or the Lemma 1.8
 ///   construction finds a spanning Δ-forest (the CSR variant builds the
@@ -332,37 +190,28 @@ pub fn evaluate_family_csr(
 ///   forest of a tree component is the component itself), so the search is
 ///   skipped without being run;
 /// * otherwise the Δ-bounded forest polytope is maximized per component over
-///   the shared partition, merging values in component order.
+///   the shared partition with the combinatorial backend, merging values in
+///   component order.
 ///
-/// The returned evaluations therefore carry the same values and
-/// [`EvaluationPath`] labels as [`evaluate_family_with`] on the same graph,
-/// bit for bit. LP evaluations carry solver statistics but empty
-/// `edge_weights` (the family never uses the maximizing point itself).
-pub fn evaluate_family_csr_with(
-    arena: &CsrGraph,
-    grid: &[usize],
-    threads: usize,
-    options: FamilyOptions,
-) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    evaluate_family_csr_profiled(arena, grid, threads, options, None)
-}
-
-/// [`evaluate_family_csr_with`] with an optional [`PhaseProfiler`] that
-/// aggregates where the evaluation spends its time, under stable phase names:
+/// LP evaluations carry solver statistics but empty `edge_weights` (the family
+/// never uses the maximizing point itself).
+///
+/// The optional profiler aggregates wall clock under stable phase names:
 /// `family/partition` (arena partitioning + tree precheck), `family/anchor`
-/// (fast-path checks including the Lemma 1.8 search), `family/lp` (polytope
-/// solving over the partition). Per-partition solve attribution counters
-/// (component totals, closed forms, dedup hits, general fallbacks) are
-/// recorded as profiler counts. Profiling never changes values.
-pub fn evaluate_family_csr_profiled(
-    arena: &CsrGraph,
+/// (fast-path checks including the Lemma 1.8 search) and `family/lp`
+/// (polytope solving), plus the `solve/*` per-partition counts. Profiling
+/// never changes values.
+///
+/// # Panics
+/// Panics if a grid point is 0.
+pub fn evaluate_family(
+    g: &PreparedGraph,
     grid: &[usize],
-    threads: usize,
-    options: FamilyOptions,
+    options: &FamilyOptions,
     profiler: Option<&PhaseProfiler>,
 ) -> Result<Vec<ExtensionEvaluation>, CoreError> {
     let mut out = Vec::with_capacity(grid.len());
-    if arena.num_edges() == 0 {
+    if g.num_edges() == 0 {
         for &delta in grid {
             assert!(delta >= 1, "delta must be at least 1");
             out.push(ExtensionEvaluation {
@@ -375,8 +224,7 @@ pub fn evaluate_family_csr_profiled(
         return Ok(out);
     }
     let partition_timer = profiler.map(|p| p.phase("family/partition"));
-    let fsf = arena.spanning_forest_size() as f64;
-    let max_degree = arena.max_degree();
+    let arena = g.csr();
     let part = arena.partition_components();
     // Largest maximum degree over *tree* components: for Δ below it the
     // spanning-Δ-forest search is unsatisfiable and gets skipped.
@@ -398,20 +246,20 @@ pub fn evaluate_family_csr_profiled(
         assert!(delta >= 1, "delta must be at least 1");
         let anchored = {
             let _t = profiler.map(|p| p.phase("family/anchor"));
-            delta >= max_degree
+            delta >= g.max_degree()
                 || (delta >= tree_max_degree
                     && bounded_degree_spanning_forest_csr(arena, delta).is_some())
         };
         let mut eval = if anchored {
             ExtensionEvaluation {
-                value: fsf,
+                value: g.spanning_forest_size() as f64,
                 delta,
                 path: EvaluationPath::SpanningForestFastPath,
                 lp: None,
             }
         } else {
             let _t = profiler.map(|p| p.phase("family/lp"));
-            let solved = solve_partition(&part, delta as f64, threads, &solve_options)
+            let solved = solve_partition(&part, delta as f64, options.threads, &solve_options)
                 .map_err(CoreError::from)?;
             if let Some(p) = profiler {
                 let stats = solved.stats;
@@ -442,7 +290,10 @@ mod tests {
     use ccdp_graph::generators;
     use ccdp_graph::subgraph::remove_vertex;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Random graphs the engine-vs-oracle property checks.
+    const CASES: usize = 200;
 
     fn approx(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-5
@@ -552,7 +403,13 @@ mod tests {
     fn family_evaluation_is_monotone() {
         let g = generators::caveman(3, 4);
         let grid = [1usize, 2, 4, 8];
-        let evals = evaluate_family(&g, &grid).unwrap();
+        let evals = evaluate_family(
+            &PreparedGraph::from(&g),
+            &grid,
+            &FamilyOptions::default(),
+            None,
+        )
+        .unwrap();
         assert_eq!(evals.len(), 4);
         for w in evals.windows(2) {
             assert!(w[0].value <= w[1].value + 1e-9);
@@ -563,8 +420,7 @@ mod tests {
 
     #[test]
     fn threaded_family_matches_sequential_family_bit_for_bit() {
-        // 700 disjoint 5-cycles cross the parallel work threshold
-        // (n + m = 7000); Δ = 1 forces the LP path on every cycle.
+        // 700 disjoint 5-cycles; Δ = 1 forces the LP path on every cycle.
         let mut edges = Vec::new();
         for c in 0..700usize {
             let base = 5 * c;
@@ -572,85 +428,116 @@ mod tests {
                 edges.push((base + i, base + (i + 1) % 5));
             }
         }
-        let g = Graph::from_edges(3500, &edges);
-        let grid = [1usize, 2, 4, 8];
-        let seq = evaluate_family_with(&g, &grid, SolverBackend::default()).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let par =
-                evaluate_family_threaded(&g, &grid, SolverBackend::default(), threads).unwrap();
-            assert_eq!(seq.len(), par.len());
-            for (s, p) in seq.iter().zip(&par) {
-                assert_eq!(s.value.to_bits(), p.value.to_bits(), "threads={threads}");
-                assert_eq!(s.path, p.path);
-                assert_eq!(s.delta, p.delta);
-            }
-        }
-        // A single-point grid parallelizes across components instead; the
-        // value must still be identical.
-        let seq1 = evaluate_family_with(&g, &[1], SolverBackend::default()).unwrap();
-        let par1 = evaluate_family_threaded(&g, &[1], SolverBackend::default(), 4).unwrap();
-        assert_eq!(seq1[0].value.to_bits(), par1[0].value.to_bits());
-    }
-
-    #[test]
-    fn csr_family_engine_matches_historical_loop_bit_for_bit() {
-        // Large enough to cross the work threshold, so evaluate_family_with
-        // routes through the CSR-partition engine; the reference is the
-        // historical per-Δ loop over evaluate_detailed. Barely-supercritical
-        // ER mixes trees, unicyclic components and a few multicyclic ones.
-        let mut rng = StdRng::seed_from_u64(9);
-        let g = generators::erdos_renyi(3000, 1.25 / 3000.0, &mut rng);
-        let grid = [1usize, 2, 4, 8, 16];
-        let mut want = Vec::new();
-        let mut running_max = 0.0f64;
-        for &delta in &grid {
-            let mut eval = LipschitzExtension::new(delta)
-                .evaluate_detailed(&g)
-                .unwrap();
-            running_max = running_max.max(eval.value);
-            eval.value = running_max;
-            want.push(eval);
-        }
-        let toggles = [
-            FamilyOptions::default(),
-            FamilyOptions {
-                micro: true,
-                dedup: false,
-            },
-            FamilyOptions {
-                micro: false,
-                dedup: true,
-            },
-            FamilyOptions {
-                micro: false,
-                dedup: false,
-            },
-        ];
-        for options in toggles {
-            for threads in [1usize, 4] {
-                let got =
-                    evaluate_family_tuned(&g, &grid, SolverBackend::default(), threads, options)
-                        .unwrap();
-                assert_eq!(want.len(), got.len());
-                for (w, g_eval) in want.iter().zip(&got) {
-                    assert_eq!(
-                        w.value.to_bits(),
-                        g_eval.value.to_bits(),
-                        "Δ={} threads={threads} options={options:?}",
-                        w.delta
-                    );
-                    assert_eq!(w.path, g_eval.path);
-                    assert_eq!(w.delta, g_eval.delta);
+        let g = PreparedGraph::from(Graph::from_edges(3500, &edges));
+        for grid in [&[1usize, 2, 4, 8][..], &[1]] {
+            let seq = evaluate_family(&g, grid, &FamilyOptions::default(), None).unwrap();
+            for threads in [2usize, 4, 8] {
+                let options = FamilyOptions {
+                    threads,
+                    ..FamilyOptions::default()
+                };
+                let par = evaluate_family(&g, grid, &options, None).unwrap();
+                assert_eq!(seq.len(), par.len());
+                for (s, p) in seq.iter().zip(&par) {
+                    assert_eq!(s.value.to_bits(), p.value.to_bits(), "threads={threads}");
+                    assert_eq!(s.path, p.path);
+                    assert_eq!(s.delta, p.delta);
                 }
             }
         }
-        // The CSR-arena entry point (no adjacency-list graph at all) agrees too.
-        let arena = CsrGraph::from_graph(&g);
-        let got = evaluate_family_csr(&arena, &grid, 2).unwrap();
-        for (w, g_eval) in want.iter().zip(&got) {
-            assert_eq!(w.value.to_bits(), g_eval.value.to_bits());
-            assert_eq!(w.path, g_eval.path);
+    }
+
+    /// The graph families the engine-vs-oracle property draws from, all
+    /// deterministic in `seed`.
+    fn oracle_graph(family: u8, n: usize, seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nf = n.max(1) as f64;
+        match family {
+            0 => generators::erdos_renyi(n, 0.6 / nf, &mut rng),
+            1 => generators::erdos_renyi(n, 1.0 / nf, &mut rng),
+            2 => {
+                let small = n.min(24);
+                generators::erdos_renyi(small, 0.3, &mut rng)
+            }
+            3 => generators::planted_star_forest(n / 6, 2 + (seed % 6) as usize, n % 7),
+            4 => generators::caveman(1 + n / 8, 2 + (seed % 5) as usize),
+            5 => {
+                // Disjoint cycles of mixed lengths (repeats exercise dedup).
+                let mut edges = Vec::new();
+                let mut start = 0;
+                while start + 3 <= n {
+                    let len = rng.gen_range(3..=24usize).min(n - start);
+                    edges.extend((0..len).map(|i| (start + i, start + (i + 1) % len)));
+                    start += len;
+                }
+                Graph::from_edges(n, &edges)
+            }
+            6 => generators::star(n),
+            _ => Graph::new(n),
         }
+    }
+
+    /// The per-Δ oracle: `LipschitzExtension::evaluate_detailed` with the
+    /// family's running-max clamp.
+    fn oracle_family(g: &Graph, grid: &[usize]) -> Vec<ExtensionEvaluation> {
+        let mut running_max = 0.0f64;
+        grid.iter()
+            .map(|&delta| {
+                let mut eval = LipschitzExtension::new(delta).evaluate_detailed(g).unwrap();
+                running_max = running_max.max(eval.value);
+                eval.value = running_max;
+                eval
+            })
+            .collect()
+    }
+
+    fn assert_engine_matches_oracle(g: &Graph, grid: &[usize], case: &str) {
+        let want = oracle_family(g, grid);
+        let prepared = PreparedGraph::from(g);
+        for (micro, dedup) in [(true, true), (true, false), (false, true), (false, false)] {
+            let options = FamilyOptions {
+                micro,
+                dedup,
+                threads: 1,
+            };
+            let got = evaluate_family(&prepared, grid, &options, None).unwrap();
+            assert_eq!(want.len(), got.len());
+            for (w, e) in want.iter().zip(&got) {
+                assert_eq!(
+                    w.value.to_bits(),
+                    e.value.to_bits(),
+                    "{case} Δ={} micro={micro} dedup={dedup}: oracle {} vs engine {}",
+                    w.delta,
+                    w.value,
+                    e.value
+                );
+                assert_eq!(w.path, e.path, "{case} Δ={}", w.delta);
+                assert_eq!(w.delta, e.delta);
+            }
+        }
+    }
+
+    #[test]
+    fn family_engine_matches_per_delta_oracle_bit_for_bit() {
+        // Property: on random graphs of every family with n in 0..400, the
+        // one family engine returns the per-Δ oracle's bits and path labels
+        // for every toggle combination. Cases are drawn from a fixed seed,
+        // so a failure names a reproducible case.
+        let mut rng = StdRng::seed_from_u64(0x5eed_0c1e);
+        for case in 0..CASES {
+            let family = rng.gen_range(0..8u8);
+            let n = rng.gen_range(0..400usize);
+            let seed = rng.gen::<u64>();
+            let g = oracle_graph(family, n, seed);
+            let name = format!("case {case} (family {family}, n {n}, seed {seed})");
+            assert_engine_matches_oracle(&g, &[1, 2, 3, 4, 8, 16], &name);
+        }
+        // One case above n + m = 4096, where older versions switched engines:
+        // barely-supercritical ER mixes trees, unicyclic components and a few
+        // multicyclic ones.
+        let g = generators::erdos_renyi(3000, 1.25 / 3000.0, &mut StdRng::seed_from_u64(9));
+        assert!(g.num_vertices() + g.num_edges() > 4096);
+        assert_engine_matches_oracle(&g, &[1, 2, 4, 8, 16], "large ER");
     }
 
     #[test]

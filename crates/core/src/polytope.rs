@@ -45,22 +45,6 @@ pub fn forest_polytope_max_with(
     backend.solver().solve(g, delta).map_err(CoreError::from)
 }
 
-/// [`forest_polytope_max_with`] with a thread budget: connected components
-/// are solved concurrently on up to `threads` worker threads and merged in
-/// component order, so the solution is identical for every thread budget
-/// (`threads <= 1` takes the sequential path exactly).
-pub fn forest_polytope_max_threaded(
-    g: &Graph,
-    delta: f64,
-    backend: SolverBackend,
-    threads: usize,
-) -> Result<PolytopeSolution, CoreError> {
-    backend
-        .solver()
-        .solve_threaded(g, delta, threads)
-        .map_err(CoreError::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,8 +252,7 @@ mod tests {
                 for delta in [1.0, 2.0] {
                     let seq = forest_polytope_max_with(&g, delta, backend).unwrap();
                     for threads in [1, 2, 4, 8] {
-                        let par =
-                            forest_polytope_max_threaded(&g, delta, backend, threads).unwrap();
+                        let par = backend.solver().solve_threaded(&g, delta, threads).unwrap();
                         assert_eq!(
                             seq.value.to_bits(),
                             par.value.to_bits(),
@@ -283,9 +266,9 @@ mod tests {
     }
 
     #[test]
-    fn threaded_solve_matches_sequential_above_work_threshold() {
-        // 700 disjoint 5-cycles: n + m = 7000 crosses the parallel work
-        // threshold, so this actually exercises the per-component fan-out.
+    fn threaded_solve_matches_sequential_on_many_components() {
+        // 700 disjoint 5-cycles: enough components that the per-component
+        // fan-out actually splits work across threads.
         let mut edges = Vec::new();
         for c in 0..700usize {
             let base = 5 * c;
@@ -296,9 +279,10 @@ mod tests {
         let big = Graph::from_edges(3500, &edges);
         let seq = forest_polytope_max_with(&big, 1.0, SolverBackend::Combinatorial).unwrap();
         for threads in [2, 4, 8] {
-            let par =
-                forest_polytope_max_threaded(&big, 1.0, SolverBackend::Combinatorial, threads)
-                    .unwrap();
+            let par = SolverBackend::Combinatorial
+                .solver()
+                .solve_threaded(&big, 1.0, threads)
+                .unwrap();
             assert_eq!(seq.value.to_bits(), par.value.to_bits());
             assert_eq!(
                 seq.edge_weights

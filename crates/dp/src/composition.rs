@@ -5,11 +5,18 @@
 //! stages of a composed algorithm so that callers (and tests) can verify the split
 //! adds up to the advertised guarantee.
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 /// A privacy budget that is consumed by named stages.
 #[derive(Clone, Debug)]
 pub struct PrivacyBudget {
     total_epsilon: f64,
-    spent: Vec<(String, f64)>,
+    spent: Vec<(Arc<str>, f64)>,
+    /// One shared allocation per distinct stage name: a long-lived serving
+    /// tenant grants the same few stages over and over, and each ledger
+    /// entry then costs one `Arc` bump instead of a fresh `String`.
+    stage_names: HashSet<Arc<str>>,
     /// Running sum of `spent`, so the hot check-and-spend path is O(1)
     /// instead of re-summing the ledger (a long-lived serving tenant records
     /// one ledger entry per release).
@@ -29,6 +36,7 @@ impl PrivacyBudget {
         PrivacyBudget {
             total_epsilon,
             spent: Vec::new(),
+            stage_names: HashSet::new(),
             spent_total: 0.0,
         }
     }
@@ -61,7 +69,15 @@ impl PrivacyBudget {
                 remaining: self.remaining_epsilon(),
             });
         }
-        self.spent.push((stage.to_string(), epsilon));
+        let name = match self.stage_names.get(stage) {
+            Some(name) => Arc::clone(name),
+            None => {
+                let name: Arc<str> = Arc::from(stage);
+                self.stage_names.insert(Arc::clone(&name));
+                name
+            }
+        };
+        self.spent.push((name, epsilon));
         self.spent_total += epsilon;
         Ok(epsilon)
     }
@@ -75,8 +91,9 @@ impl PrivacyBudget {
         self.spend(stage, self.total_epsilon * fraction)
     }
 
-    /// The per-stage ledger (stage name, ε).
-    pub fn ledger(&self) -> &[(String, f64)] {
+    /// The per-stage ledger (stage name, ε), in grant order. Entries of one
+    /// stage share a single name allocation.
+    pub fn ledger(&self) -> &[(Arc<str>, f64)] {
         &self.spent
     }
 
@@ -95,7 +112,7 @@ impl PrivacyBudget {
     pub fn spent_for_stage(&self, stage: &str) -> f64 {
         self.spent
             .iter()
-            .filter(|(name, _)| name == stage)
+            .filter(|(name, _)| **name == *stage)
             .map(|(_, e)| e)
             .sum()
     }
@@ -188,5 +205,25 @@ mod tests {
         assert!((b.utilization() - 0.625).abs() < 1e-12);
         assert!(b.can_spend(0.75));
         assert!(!b.can_spend(0.76));
+    }
+
+    #[test]
+    fn repeated_grants_to_one_stage_share_one_name_allocation() {
+        let mut b = PrivacyBudget::new(100.0);
+        for _ in 0..50 {
+            b.spend("fleet/g3@0", 0.5).unwrap();
+            b.spend("fleet/g4@0", 0.5).unwrap();
+        }
+        let (first, second) = (&b.ledger()[0].0, &b.ledger()[1].0);
+        assert_eq!((&**first, &**second), ("fleet/g3@0", "fleet/g4@0"));
+        for (i, (name, _)) in b.ledger().iter().enumerate() {
+            let same = if i % 2 == 0 { first } else { second };
+            assert!(Arc::ptr_eq(name, same), "entry {i} reallocated its name");
+        }
+        // The budget's intern table plus one handle per ledger entry.
+        assert_eq!(Arc::strong_count(first), 1 + 50);
+        assert!((b.spent_for_stage("fleet/g3@0") - 25.0).abs() < 1e-12);
+        // Clones share the names too.
+        assert!(Arc::ptr_eq(&b.clone().ledger()[0].0, first));
     }
 }

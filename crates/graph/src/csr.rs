@@ -230,7 +230,7 @@ impl CsrGraph {
     /// A 128-bit structural fingerprint (FNV-1a over the offset and target
     /// arrays), streamed with zero allocation. Used by cache keys: two equal
     /// graphs always fingerprint equally; collisions between distinct graphs
-    /// are guarded by a full [`CsrGraph::matches_graph`] witness check.
+    /// are guarded by a full structural comparison of the arenas.
     pub fn fingerprint(&self) -> u128 {
         let mut h = fingerprint_seed(self.num_vertices());
         for &o in &self.offsets {
@@ -452,14 +452,14 @@ fn fingerprint_seed(n: usize) -> u128 {
     fnv1a_128(0x6c62_272e_07bb_0142_62b8_2175_6295_c58d, n as u32)
 }
 
+/// One FNV-1a step over a whole 32-bit word (xor, then multiply by the
+/// 128-bit FNV prime): a quarter of the multiplies of the byte-wise variant.
+/// Only equality of fingerprints matters, and a collision is caught by the
+/// full structural comparison, so the coarser mixing costs nothing.
 #[inline]
-fn fnv1a_128(mut h: u128, word: u32) -> u128 {
+fn fnv1a_128(h: u128, word: u32) -> u128 {
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    for byte in word.to_le_bytes() {
-        h ^= byte as u128;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    (h ^ word as u128).wrapping_mul(PRIME)
 }
 
 #[cfg(test)]

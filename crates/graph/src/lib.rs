@@ -3,6 +3,8 @@
 //! This crate provides everything the paper's algorithm needs from a graph:
 //!
 //! * a simple undirected, unweighted [`Graph`] representation ([`graph`]),
+//!   its flat CSR counterpart ([`csr`]) and the immutable [`PreparedGraph`]
+//!   snapshot the solving hot path works on ([`prepared`]),
 //! * connected components and spanning-forest size (`f_cc`, `f_sf`) ([`components`]),
 //! * spanning forests, the local-repair procedure of Algorithm 3 and
 //!   degree-bounded spanning forests (Lemma 1.8) ([`forest`]),
@@ -22,6 +24,7 @@ pub mod forest;
 pub mod generators;
 pub mod graph;
 pub mod io;
+pub mod prepared;
 pub mod sensitivity;
 pub mod stars;
 pub mod subgraph;
@@ -36,6 +39,7 @@ pub use forest::{
     SpanningForest,
 };
 pub use graph::Graph;
+pub use prepared::PreparedGraph;
 pub use sensitivity::{down_sensitivity_fcc, down_sensitivity_fsf};
 pub use stars::induced_star_number;
 pub use unionfind::{UnionFind, UnionFind32};

@@ -22,7 +22,7 @@
 
 use crate::error::NetError;
 use crate::http::{self, ReadOutcome, Request, WireLimits};
-use ccdp_graph::GraphVersion;
+use ccdp_graph::{GraphVersion, PreparedGraph};
 use ccdp_obs::{replay_tenant, AuditEvent, Counter, MetricsRegistry, Span, TraceId, TraceTree};
 use ccdp_serve::json::{self, JsonValue, JsonWriter};
 use ccdp_serve::{ServeRequest, Server};
@@ -745,6 +745,8 @@ fn slo_body(shared: &Shared) -> String {
 
 /// `POST /ingest` — `{"graph", "edges", "version"?}` publishes an edge-list
 /// snapshot: at the explicit version when pinned, else as latest-plus-one.
+/// The edge list is parsed straight into the arena it prepares, once, before
+/// any registry lock is taken.
 fn route_ingest(request: &Request, shared: &Shared) -> Result<String, NetError> {
     let body = parse_body(request)?;
     let id = require_str(&body, "graph")?;
@@ -763,19 +765,21 @@ fn route_ingest(request: &Request, shared: &Shared) -> Result<String, NetError> 
             )
         }
         None => {
-            let graph = Arc::new(
-                ccdp_graph::io::from_edge_list(edges).map_err(ccdp_serve::ServeError::Ingest)?,
+            let graph = PreparedGraph::from(
+                ccdp_graph::io::from_edge_list_csr(edges)
+                    .map_err(ccdp_serve::ServeError::Ingest)?,
             );
             let gid = ccdp_serve::GraphId::new(id);
             // Publish as latest-plus-one at an *explicit* version so a lost
             // publish race is visible (VersionExists) and simply rebased,
             // instead of insert-then-read-back guessing which publish won.
+            // Every retry republishes the one prepared snapshot.
             loop {
                 let next = registry
                     .latest_version(&gid)
                     .map(GraphVersion::next)
                     .unwrap_or(GraphVersion::INITIAL);
-                match registry.insert_version(gid.clone(), next, Arc::clone(&graph)) {
+                match registry.insert_version(gid.clone(), next, graph.clone()) {
                     Ok(published) => break (next, published),
                     Err(ccdp_serve::ServeError::VersionExists { .. }) => continue,
                     Err(e) => return Err(e.into()),
@@ -927,7 +931,6 @@ mod tests {
             matches!(&err, NetError::Api { status: 409, code, .. } if code == "version_exists"),
             "{err:?}"
         );
-
         let est = client.estimate("acme", "tri", 0.5, Some(1)).unwrap();
         assert_eq!(est.version, Some(1));
 
@@ -947,6 +950,46 @@ mod tests {
             Some(1)
         );
         net.shutdown();
+    }
+
+    /// Ingests `edges` as graph `bad`, unpinned and pinned, and asserts both
+    /// are refused with a typed 400 naming the problem, publish nothing and
+    /// leave the server serving.
+    fn assert_ingest_refused(edges: &str, detail: &str) {
+        let net = start_fleet();
+        let mut client = NetClient::connect(net.local_addr());
+        for pinned in [None, Some(7)] {
+            match client.ingest("bad", edges, pinned).unwrap_err() {
+                NetError::Api {
+                    status: 400,
+                    code,
+                    message,
+                    ..
+                } => {
+                    assert_eq!(code, "ingest_failed");
+                    assert!(message.contains(detail), "{message}");
+                }
+                other => panic!("{edges:?} pinned={pinned:?}: {other:?}"),
+            }
+        }
+        assert_eq!(client.health().unwrap().graphs, 2);
+        assert!(client.estimate("acme", "path", 0.5, None).is_ok());
+        net.shutdown();
+    }
+
+    #[test]
+    fn ingest_refuses_a_self_loop_with_a_typed_400() {
+        assert_ingest_refused("# 3 2\n0 1\n2 2\n", "line 3: self-loop at vertex 2");
+    }
+
+    #[test]
+    fn ingest_refuses_a_header_after_edges_with_a_typed_400() {
+        assert_ingest_refused("0 5\n# 3 1\n", "line 2: `# n m` header after edge lines");
+    }
+
+    #[test]
+    fn ingest_refuses_counts_beyond_u32_indexing_with_a_typed_400() {
+        assert_ingest_refused("# 5000000000 0\n", "exceed u32 CSR indexing");
     }
 
     #[test]

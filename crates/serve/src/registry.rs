@@ -5,8 +5,10 @@
 //! live in one shared [`GraphRegistry`] rather than being owned by any single
 //! estimator. The registry is striped across shards, each guarded by its own
 //! `RwLock`, so concurrent lookups of different graphs never contend on one
-//! lock, and graphs are handed out as `Arc<Graph>` so requests share storage
-//! with the registry instead of cloning edge lists.
+//! lock. Graphs are stored and handed out as [`PreparedGraph`] snapshots:
+//! the CSR arena, fingerprint and spanning-forest size are computed once, on
+//! publish and *before* the shard lock is taken, and every request shares
+//! them with the registry (a resolve is one `Arc` bump).
 //!
 //! Each catalog id holds a *history* of immutable snapshot versions (see
 //! [`GraphVersion`]): a streaming layer publishes new versions as the graph
@@ -17,7 +19,7 @@
 //! re-publishing could only mean two different graphs claiming one identity.
 
 use crate::error::ServeError;
-use ccdp_graph::{io, Graph, GraphVersion};
+use ccdp_graph::{io, GraphVersion, PreparedGraph};
 use ccdp_obs::{AuditEvent, AuditJournal, AuditKind};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -38,11 +40,11 @@ pub const DEFAULT_VERSION_RETENTION: usize = 8;
 /// The version history of one catalog id. The `BTreeMap` keeps versions
 /// ordered, so the latest pointer is the last key and range expiry is a
 /// split.
-type History = BTreeMap<GraphVersion, Arc<Graph>>;
+type History = BTreeMap<GraphVersion, PreparedGraph>;
 
 type Shard = HashMap<GraphId, History>;
 
-/// A sharded map from [`GraphId`] to a version history of `Arc<Graph>`
+/// A sharded map from [`GraphId`] to a version history of [`PreparedGraph`]
 /// snapshots.
 #[derive(Debug)]
 pub struct GraphRegistry {
@@ -134,7 +136,10 @@ impl GraphRegistry {
 
     /// Publishes `graph` under `id` as the next version after the current
     /// latest ([`GraphVersion::INITIAL`] for a fresh id), returning the
-    /// previously latest snapshot if this superseded one.
+    /// previously latest snapshot if this superseded one. `graph` is a
+    /// [`PreparedGraph`] (published as is) or anything that prepares into
+    /// one, such as a `Graph` or an `Arc<Graph>`; preparation runs before the
+    /// shard lock is taken.
     ///
     /// Prior versions are retained up to the registry's
     /// [`retention`](GraphRegistry::retention) bound — republishing one id
@@ -144,23 +149,25 @@ impl GraphRegistry {
     pub fn insert(
         &self,
         id: impl Into<GraphId>,
-        graph: impl Into<Arc<Graph>>,
-    ) -> Option<Arc<Graph>> {
+        graph: impl Into<PreparedGraph>,
+    ) -> Option<PreparedGraph> {
         let id = id.into();
+        let graph = graph.into();
         let mut shard = self.write(&id);
         let history = shard.entry(id.clone()).or_default();
         let version = next_version(history);
-        let previous = history.last_key_value().map(|(_, g)| Arc::clone(g));
-        history.insert(version, graph.into());
+        let previous = history.last_key_value().map(|(_, g)| g.clone());
+        history.insert(version, graph);
         enforce_retention(history, self.retention);
         drop(shard);
         self.audit_publish(&id, version, "published as next version");
         previous
     }
 
-    /// Publishes `graph` under the exact `(id, version)` pair (takes a
-    /// `Graph` or an `Arc<Graph>` — an already-shared snapshot is published
-    /// without copying).
+    /// Publishes `graph` under the exact `(id, version)` pair. Like
+    /// [`insert`](Self::insert) it takes a [`PreparedGraph`] — published
+    /// without copying — or anything that prepares into one, and prepares
+    /// before taking the shard lock.
     ///
     /// # Errors
     /// [`ServeError::VersionExists`] if that snapshot is already published
@@ -172,8 +179,8 @@ impl GraphRegistry {
         &self,
         id: impl Into<GraphId>,
         version: GraphVersion,
-        graph: impl Into<Arc<Graph>>,
-    ) -> Result<Arc<Graph>, ServeError> {
+        graph: impl Into<PreparedGraph>,
+    ) -> Result<PreparedGraph, ServeError> {
         let id = id.into();
         let graph = graph.into();
         let mut shard = self.write(&id);
@@ -192,15 +199,16 @@ impl GraphRegistry {
                 }
             }
         }
-        history.insert(version, Arc::clone(&graph));
+        history.insert(version, graph.clone());
         enforce_retention(history, self.retention);
         drop(shard);
         self.audit_publish(&id, version, "published at explicit version");
         Ok(graph)
     }
 
-    /// Parses `text` as a plain-text edge list (see [`ccdp_graph::io`]) and
-    /// publishes the graph under `id` at [`GraphVersion::INITIAL`].
+    /// Parses `text` as a plain-text edge list (see [`ccdp_graph::io`])
+    /// straight into the arena it prepares, and publishes the graph under
+    /// `id` at [`GraphVersion::INITIAL`].
     ///
     /// # Errors
     /// [`ServeError::Ingest`] on a malformed edge list, and
@@ -211,7 +219,7 @@ impl GraphRegistry {
         &self,
         id: impl Into<GraphId>,
         text: &str,
-    ) -> Result<Arc<Graph>, ServeError> {
+    ) -> Result<PreparedGraph, ServeError> {
         self.ingest_edge_list_version(id, GraphVersion::INITIAL, text)
     }
 
@@ -221,25 +229,22 @@ impl GraphRegistry {
         id: impl Into<GraphId>,
         version: GraphVersion,
         text: &str,
-    ) -> Result<Arc<Graph>, ServeError> {
-        let graph = io::from_edge_list(text)?;
-        self.insert_version(id, version, graph)
+    ) -> Result<PreparedGraph, ServeError> {
+        let arena = io::from_edge_list_csr(text)?;
+        self.insert_version(id, version, arena)
     }
 
     /// The latest snapshot stored under `id`, if any.
-    pub fn get(&self, id: &GraphId) -> Option<Arc<Graph>> {
+    pub fn get(&self, id: &GraphId) -> Option<PreparedGraph> {
         self.read(id)
             .get(id)
             .and_then(|h| h.last_key_value())
-            .map(|(_, g)| Arc::clone(g))
+            .map(|(_, g)| g.clone())
     }
 
     /// The snapshot stored under `(id, version)`, if any.
-    pub fn get_version(&self, id: &GraphId, version: GraphVersion) -> Option<Arc<Graph>> {
-        self.read(id)
-            .get(id)
-            .and_then(|h| h.get(&version))
-            .map(Arc::clone)
+    pub fn get_version(&self, id: &GraphId, version: GraphVersion) -> Option<PreparedGraph> {
+        self.read(id).get(id).and_then(|h| h.get(&version)).cloned()
     }
 
     /// The latest published version of `id`, if any.
@@ -260,16 +265,19 @@ impl GraphRegistry {
 
     /// Resolves the latest snapshot of `id` or reports the typed refusal a
     /// request would get.
-    pub fn resolve(&self, id: &GraphId) -> Result<Arc<Graph>, ServeError> {
+    pub fn resolve(&self, id: &GraphId) -> Result<PreparedGraph, ServeError> {
         Ok(self.resolve_latest(id)?.1)
     }
 
     /// Resolves the latest snapshot of `id` together with its version.
-    pub fn resolve_latest(&self, id: &GraphId) -> Result<(GraphVersion, Arc<Graph>), ServeError> {
+    pub fn resolve_latest(
+        &self,
+        id: &GraphId,
+    ) -> Result<(GraphVersion, PreparedGraph), ServeError> {
         self.read(id)
             .get(id)
             .and_then(|h| h.last_key_value())
-            .map(|(&v, g)| (v, Arc::clone(g)))
+            .map(|(&v, g)| (v, g.clone()))
             .ok_or_else(|| ServeError::UnknownGraph { graph: id.clone() })
     }
 
@@ -280,14 +288,14 @@ impl GraphRegistry {
         &self,
         id: &GraphId,
         version: GraphVersion,
-    ) -> Result<Arc<Graph>, ServeError> {
+    ) -> Result<PreparedGraph, ServeError> {
         let shard = self.read(id);
         let history = shard
             .get(id)
             .ok_or_else(|| ServeError::UnknownGraph { graph: id.clone() })?;
         history
             .get(&version)
-            .map(Arc::clone)
+            .cloned()
             .ok_or_else(|| ServeError::UnknownVersion {
                 graph: id.clone(),
                 version,
@@ -339,8 +347,8 @@ impl GraphRegistry {
     /// version *it just published* that was never served (e.g. the release
     /// scheduler unwinding a publish after queue backpressure refused the
     /// estimate). Concurrent readers that already resolved the snapshot keep
-    /// their `Arc` — removal unlists, it never invalidates.
-    pub fn remove_version(&self, id: &GraphId, version: GraphVersion) -> Option<Arc<Graph>> {
+    /// their handle — removal unlists, it never invalidates.
+    pub fn remove_version(&self, id: &GraphId, version: GraphVersion) -> Option<PreparedGraph> {
         let mut shard = self.write(id);
         let history = shard.get_mut(id)?;
         let removed = history.remove(&version);
@@ -352,7 +360,7 @@ impl GraphRegistry {
 
     /// Removes and returns the latest snapshot stored under `id`, dropping
     /// the whole version history.
-    pub fn remove(&self, id: &GraphId) -> Option<Arc<Graph>> {
+    pub fn remove(&self, id: &GraphId) -> Option<PreparedGraph> {
         self.write(id)
             .remove(id)
             .and_then(|h| h.into_values().next_back())
@@ -445,13 +453,31 @@ mod tests {
         assert!(reg.insert("p5", g.clone()).is_none());
         assert_eq!(reg.len(), 1);
         let got = reg.get(&GraphId::new("p5")).unwrap();
-        assert_eq!(*got, g);
+        assert!(got.csr().matches_graph(&g));
         // Superseding returns the previously latest snapshot.
         let old = reg.insert("p5", generators::star(3)).unwrap();
-        assert_eq!(*old, g);
+        assert!(old.same_snapshot(&got));
         assert_eq!(reg.len(), 1);
         assert!(reg.remove(&GraphId::new("p5")).is_some());
         assert!(reg.is_empty());
+    }
+
+    #[test]
+    fn prepared_snapshots_publish_and_resolve_without_rebuilding() {
+        let reg = GraphRegistry::new();
+        let id = GraphId::new("g");
+        let snapshot = PreparedGraph::from(generators::caveman(3, 4));
+        let published = reg
+            .insert_version(id.clone(), GraphVersion::new(3), snapshot.clone())
+            .unwrap();
+        assert!(published.same_snapshot(&snapshot));
+        let (version, resolved) = reg.resolve_latest(&id).unwrap();
+        assert_eq!(version, GraphVersion::new(3));
+        assert!(resolved.same_snapshot(&snapshot));
+        assert!(reg
+            .resolve_version(&id, GraphVersion::new(3))
+            .unwrap()
+            .same_snapshot(&snapshot));
     }
 
     #[test]

@@ -26,7 +26,6 @@ use crate::error::ServeError;
 use crate::ledger::{BudgetLedger, TenantId};
 use crate::registry::{GraphId, GraphRegistry};
 use crate::stats::{RequestOutcome, ServeStats, StatsSnapshot};
-use ccdp_core::SolverBackend;
 use ccdp_core::{
     CacheStats, Estimator, EstimatorConfig, ExtensionCache, PrivateCcEstimator, Release,
 };
@@ -51,7 +50,6 @@ pub struct ServeConfig {
     workers: usize,
     queue_capacity: usize,
     cache_capacity: usize,
-    solver: SolverBackend,
     seed: u64,
     delta_max: Option<usize>,
     estimator_threads: Option<usize>,
@@ -63,13 +61,12 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults: 4 workers, queue capacity 256, default cache capacity,
-    /// default solver backend, seed 0.
+    /// seed 0.
     pub fn new() -> Self {
         ServeConfig {
             workers: 4,
             queue_capacity: 256,
             cache_capacity: ccdp_core::cache::DEFAULT_FAMILY_CACHE_CAPACITY,
-            solver: SolverBackend::default(),
             seed: 0,
             delta_max: None,
             estimator_threads: None,
@@ -126,12 +123,6 @@ impl ServeConfig {
     /// Capacity of the shared extension-family cache.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Forest-polytope solver backend used by every request.
-    pub fn with_solver(mut self, solver: SolverBackend) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -810,7 +801,6 @@ fn handle_request(
     }
     spend?;
     let mut est_config = EstimatorConfig::new(job.request.epsilon)
-        .with_solver(config.solver)
         .with_shared_family_cache(Arc::clone(&shared.cache))
         .with_graph_tag(job.request.graph.as_str(), version)
         .with_profiler(profiler);
@@ -1124,10 +1114,10 @@ mod tests {
                 "missing {expected}: {names:?}"
             );
         }
-        // Solver phases from the per-request profiler ride along: the small
-        // graph takes the direct family route plus the two release phases.
+        // Solver phases from the per-request profiler ride along: the
+        // family engine's partition phase plus the two release phases.
         for expected in [
-            "phase/family/direct",
+            "phase/family/partition",
             "phase/release/true-value",
             "phase/release/mechanisms",
         ] {

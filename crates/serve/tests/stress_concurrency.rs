@@ -1,14 +1,14 @@
 //! Concurrent-correctness stress tests for the serving tier.
 //!
 //! (a) Single-flight coalescing: 16 racing clients asking for the same
-//!     (graph, grid, backend) key must trigger exactly one family
-//!     evaluation — the rest are cache hits or in-flight joins.
+//!     (graph, grid) key must trigger exactly one family evaluation — the
+//!     rest are cache hits or in-flight joins.
 //! (b) Budget-ledger safety: under arbitrary interleavings of concurrent
 //!     spends, no tenant's granted ε ever exceeds its quota, and the ledger's
 //!     accounting equals the sum of the grants the clients observed.
 
-use ccdp_core::{ExtensionCache, SolverBackend};
-use ccdp_graph::generators;
+use ccdp_core::{ExtensionCache, FamilyOptions};
+use ccdp_graph::{generators, PreparedGraph};
 use ccdp_serve::{
     BudgetLedger, GraphRegistry, ServeConfig, ServeError, ServeRequest, Server, TenantId,
 };
@@ -29,9 +29,12 @@ fn sixteen_racing_clients_coalesce_to_one_family_evaluation() {
             let g = g.clone();
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
+                // Every client prepares its own copy: the race also covers
+                // structurally equal snapshots that share no arena.
+                let g = PreparedGraph::from(&g);
                 barrier.wait();
                 cache
-                    .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
+                    .evaluate_family(&g, &grid, None, &FamilyOptions::default(), None, None)
                     .unwrap()
             })
         })

@@ -39,7 +39,7 @@
 
 use crate::error::StreamError;
 use crate::stream::{GraphSnapshot, GraphStream};
-use ccdp_core::{Estimator, EstimatorConfig, ExtensionCache, PrivateCcEstimator, SolverBackend};
+use ccdp_core::{Estimator, EstimatorConfig, ExtensionCache, PrivateCcEstimator};
 use ccdp_graph::GraphVersion;
 use ccdp_obs::{AuditEvent, AuditJournal, AuditKind, Counter, MetricsRegistry};
 use ccdp_serve::{
@@ -78,8 +78,6 @@ pub struct SchedulerConfig {
     pub policy: ReleasePolicy,
     /// ε charged to the owning tenant per fired release.
     pub epsilon_per_release: f64,
-    /// Forest-polytope solver backend for the estimates.
-    pub solver: SolverBackend,
     /// Base seed of the per-release RNG derivation.
     pub seed: u64,
     /// Δmax override forwarded to the estimator, if any.
@@ -96,13 +94,12 @@ pub struct SchedulerConfig {
 }
 
 impl SchedulerConfig {
-    /// A config with the given policy, ε = 0.5 per release, default solver,
-    /// seed 0 and a 4-version registry retention.
+    /// A config with the given policy, ε = 0.5 per release, seed 0 and a
+    /// 4-version registry retention.
     pub fn new(policy: ReleasePolicy) -> Self {
         SchedulerConfig {
             policy,
             epsilon_per_release: 0.5,
-            solver: SolverBackend::default(),
             seed: 0,
             delta_max: None,
             retain_versions: 4,
@@ -112,12 +109,6 @@ impl SchedulerConfig {
     /// Sets the ε charged per release.
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
         self.epsilon_per_release = epsilon;
-        self
-    }
-
-    /// Sets the solver backend.
-    pub fn with_solver(mut self, solver: SolverBackend) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -406,7 +397,7 @@ impl ReleaseScheduler {
         // collision is a typed refusal (two streams claiming one catalog id,
         // or a replayed feed).
         self.registry
-            .insert_version(id.clone(), version, Arc::clone(snapshot.graph()))?;
+            .insert_version(id.clone(), version, snapshot.prepared().clone())?;
         // Superseded versions can never be served again: drop their cached
         // families in bulk and expire their registry snapshots beyond the
         // retention window.
@@ -439,7 +430,6 @@ impl ReleaseScheduler {
         // what we release is provably what `(id, version)` names.
         let graph = self.registry.resolve_version(&id, version)?;
         let mut est_config = EstimatorConfig::new(self.config.epsilon_per_release)
-            .with_solver(self.config.solver)
             .with_shared_family_cache(Arc::clone(&self.cache))
             .with_graph_tag(id.as_str(), version);
         if let Some(delta_max) = self.config.delta_max {
@@ -491,7 +481,7 @@ impl ReleaseScheduler {
                 .detail(trigger.name()),
         );
         self.registry
-            .insert_version(id.clone(), version, Arc::clone(snapshot.graph()))?;
+            .insert_version(id.clone(), version, snapshot.prepared().clone())?;
 
         // Pin the exact published version: the worker provably estimates the
         // snapshot this release names, never "latest at dequeue time".

@@ -11,8 +11,9 @@
 //!   the same seed (`with_threads` is a pure scheduling knob),
 //! * the micro-solver and solve-dedup fast paths are **value-neutral**:
 //!   every toggle combination releases the same bits,
-//! * at moderate n the CSR release matches the adjacency-list `Graph`
-//!   release bit-for-bit (same RNG stream, same mechanisms),
+//! * at moderate n the streamed arena matches the adjacency-list `Graph`
+//!   build, and releasing either one gives the same bits (same RNG stream,
+//!   same mechanisms),
 //! * the released value is in the right ballpark of the true component
 //!   count (a loose, noise-tolerant sanity band — not an accuracy claim).
 //!
@@ -33,6 +34,7 @@
 
 use ccdp::prelude::*;
 use ccdp::{CsrGraph, PhaseProfiler};
+use std::sync::Arc;
 use std::time::Instant;
 
 const SEED_GRAPH: u64 = 20_230_605;
@@ -57,21 +59,21 @@ fn config(threads: usize, micro: bool, dedup: bool) -> EstimatorConfig {
         .with_solve_dedup(dedup)
 }
 
-fn release_csr(
-    arena: &CsrGraph,
+fn release(
+    g: &PreparedGraph,
     threads: usize,
     micro: bool,
     dedup: bool,
-    profiler: Option<&PhaseProfiler>,
+    profiler: Option<&Arc<PhaseProfiler>>,
 ) -> (f64, f64) {
-    let est = PrivateCcEstimator::from_config(config(threads, micro, dedup)).expect("valid config");
+    let mut config = config(threads, micro, dedup);
+    if let Some(p) = profiler {
+        config = config.with_profiler(Arc::clone(p));
+    }
+    let est = PrivateCcEstimator::from_config(config).expect("valid config");
     let mut rng = StdRng::seed_from_u64(SEED_NOISE);
     let start = Instant::now();
-    let release = match profiler {
-        Some(p) => est.estimate_csr_profiled(arena, &mut rng, p),
-        None => est.estimate_csr(arena, &mut rng),
-    }
-    .expect("estimate completes");
+    let release = est.estimate(g, &mut rng).expect("estimate completes");
     (release.value(), start.elapsed().as_secs_f64())
 }
 
@@ -183,20 +185,22 @@ fn main() {
     // two-pass CSR build needs.
     let p = AVG_DEGREE / n as f64;
     let build_start = Instant::now();
-    let arena = CsrGraph::from_edge_stream(n, || {
+    let graph = PreparedGraph::from(CsrGraph::from_edge_stream(n, || {
         generators::erdos_renyi_edges(n, p, StdRng::seed_from_u64(SEED_GRAPH))
-    });
+    }));
     let build_s = build_start.elapsed().as_secs_f64();
-    let m = arena.num_edges();
-    let truth = arena.num_components();
-    println!("graph: n={n} m={m} components={truth} (streamed into CSR in {build_s:.2}s)");
+    let m = graph.num_edges();
+    let truth = graph.num_connected_components();
+    println!(
+        "graph: n={n} m={m} components={truth} (streamed into CSR and prepared in {build_s:.2}s)"
+    );
 
     // Primary configuration (micro + dedup on), with the per-phase breakdown
     // attributed on the sequential run.
-    let profiler = PhaseProfiler::new();
-    let (v1, t1) = release_csr(&arena, 1, true, true, Some(&profiler));
+    let profiler = Arc::new(PhaseProfiler::new());
+    let (v1, t1) = release(&graph, 1, true, true, Some(&profiler));
     println!("threads=1: value={v1:.3} in {t1:.2}s");
-    let (v8, t8) = release_csr(&arena, 8, true, true, None);
+    let (v8, t8) = release(&graph, 8, true, true, None);
     println!("threads=8: value={v8:.3} in {t8:.2}s");
     assert_eq!(
         v1.to_bits(),
@@ -218,7 +222,7 @@ fn main() {
     let mut ablations: Vec<(bool, bool, f64)> = Vec::new();
     if ablate {
         for (micro, dedup) in [(false, true), (true, false), (false, false)] {
-            let (v, t) = release_csr(&arena, 1, micro, dedup, None);
+            let (v, t) = release(&graph, 1, micro, dedup, None);
             assert_eq!(
                 v1.to_bits(),
                 v.to_bits(),
@@ -229,11 +233,14 @@ fn main() {
         }
     }
 
-    // At moderate n, pin the CSR entry point against the historical
-    // adjacency-list path: same RNG stream, same released bits.
+    // At moderate n, pin the streamed arena against the adjacency-list
+    // build: same graph, same RNG stream, same released bits.
     if n <= GRAPH_CROSSCHECK_MAX_N {
         let g = generators::erdos_renyi(n, p, &mut StdRng::seed_from_u64(SEED_GRAPH));
-        assert!(arena.matches_graph(&g), "stream and Graph builds diverged");
+        assert!(
+            graph.csr().matches_graph(&g),
+            "stream and Graph builds diverged"
+        );
         let est = PrivateCcEstimator::from_config(config(1, true, true)).expect("valid config");
         let gv = est
             .estimate(&g, &mut StdRng::seed_from_u64(SEED_NOISE))
@@ -242,7 +249,7 @@ fn main() {
         assert_eq!(
             v1.to_bits(),
             gv.to_bits(),
-            "CSR release must match the Graph release bit-for-bit"
+            "streamed release must match the Graph release bit-for-bit"
         );
         println!("graph-path cross-check: bit-identical");
     }

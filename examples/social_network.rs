@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(7);
     let n = 4000;
     let c = 0.8; // average degree (subcritical regime analyzed in Section 1.1.4)
-    let graph = generators::erdos_renyi(n, c / n as f64, &mut rng);
+    let graph = PreparedGraph::from(generators::erdos_renyi(n, c / n as f64, &mut rng));
     let truth = graph.num_connected_components() as f64;
     println!(
         "Erdős–Rényi friendship network: n = {n}, mean degree ≈ {c}, f_cc = {truth}, max degree = {}",

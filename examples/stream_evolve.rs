@@ -133,7 +133,7 @@ fn main() {
                     .resolve_version(&record.graph, record.version)
                     .expect("released version must be resolvable");
                 assert_eq!(
-                    components::num_connected_components(snapshot.as_ref()),
+                    snapshot.csr().num_components(),
                     record.true_components,
                     "incremental count diverged on {}@{}",
                     record.graph,

@@ -29,7 +29,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! A serving loop over heterogeneous estimators:
+//! A serving loop over heterogeneous estimators, all reading one prepared
+//! snapshot (CSR arena, fingerprint and spanning-forest size computed once):
 //!
 //! ```
 //! use ccdp::prelude::*;
@@ -39,7 +40,7 @@
 //!     Box::new(EdgeDpBaseline::new(1.0)?),
 //!     Box::new(NonPrivateBaseline),
 //! ];
-//! let g = generators::planted_star_forest(10, 2, 0);
+//! let g = PreparedGraph::from(generators::planted_star_forest(10, 2, 0));
 //! let mut rng = StdRng::seed_from_u64(1);
 //! for est in &fleet {
 //!     let r = est.estimate(&g, &mut rng)?;
@@ -67,7 +68,7 @@ pub use ccdp_core::{
 };
 pub use ccdp_dp::{BudgetExceeded, PrivacyBudget};
 pub use ccdp_exec::{PhaseProfiler, PhaseReport};
-pub use ccdp_graph::{CsrGraph, Graph, GraphVersion};
+pub use ccdp_graph::{CsrGraph, Graph, GraphVersion, PreparedGraph};
 pub use ccdp_obs::{
     replay_tenant, AuditEvent, AuditJournal, AuditKind, BudgetReplay, MetricsRegistry,
     MetricsSnapshot, SloAlert, SloEngine, SloObjective, SloObservation, SloSpec, SloStatus,
@@ -83,19 +84,17 @@ pub mod prelude {
         smallest_anchor_delta,
     };
     pub use ccdp_core::{
-        evaluate_family, evaluate_family_csr, evaluate_family_csr_with, evaluate_family_tuned,
-        evaluate_family_with, forest_polytope_max, forest_polytope_max_with, measure_errors,
-        CacheStats, CcdpError, ConfigError, CoreError, Diagnostics, DiagnosticsAccess,
-        EdgeDpBaseline, ErrorStats, Estimator, EstimatorConfig, EvaluationPath, ExtensionCache,
-        FamilyOptions, FixedDeltaBaseline, LipschitzExtension, NaiveNodeDpBaseline,
-        NonPrivateBaseline, Privacy, PrivateCcEstimator, PrivateSpanningForestEstimator, Release,
-        SolverBackend,
+        evaluate_family, forest_polytope_max, forest_polytope_max_with, measure_errors, CacheStats,
+        CcdpError, ConfigError, CoreError, Diagnostics, DiagnosticsAccess, EdgeDpBaseline,
+        ErrorStats, Estimator, EstimatorConfig, EvaluationPath, ExtensionCache, FamilyOptions,
+        FixedDeltaBaseline, LipschitzExtension, NaiveNodeDpBaseline, NonPrivateBaseline, Privacy,
+        PrivateCcEstimator, PrivateSpanningForestEstimator, Release, SolverBackend,
     };
     pub use ccdp_dp::{BudgetExceeded, PrivacyBudget};
     pub use ccdp_exec::{PhaseProfiler, PhaseReport};
     pub use ccdp_graph::{
         components, forest, generators, io, sensitivity, stars, subgraph, CsrGraph, Graph,
-        GraphVersion,
+        GraphVersion, PreparedGraph,
     };
     pub use ccdp_net::{
         NetClient, NetConfig, NetError, NetServer, NetStatsSnapshot, WireLoadReport, WireLoadSpec,

@@ -19,7 +19,7 @@ fn fleet(epsilon: f64) -> Vec<Box<dyn Estimator>> {
 
 #[test]
 fn heterogeneous_estimators_serve_through_one_trait_object() {
-    let g = generators::planted_star_forest(40, 2, 10);
+    let g = PreparedGraph::from(generators::planted_star_forest(40, 2, 10));
     let mut rng = StdRng::seed_from_u64(42);
     let estimators = fleet(1.0);
 

@@ -8,7 +8,11 @@ use ccdp::prelude::*;
 fn mean_error(est: &dyn Estimator, g: &Graph, trials: usize, seed: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let truth = g.num_connected_components() as f64;
-    measure_errors(truth, trials, || est.estimate(g, &mut rng).unwrap().value()).mean
+    let g = PreparedGraph::from(g);
+    measure_errors(truth, trials, || {
+        est.estimate(&g, &mut rng).unwrap().value()
+    })
+    .mean
 }
 
 fn our_estimator(epsilon: f64) -> PrivateCcEstimator {
@@ -82,6 +86,7 @@ fn all_estimators_are_finite_on_edge_cases() {
         Graph::new(5),
         generators::complete(3),
     ] {
+        let g = PreparedGraph::from(g);
         for est in [
             Box::new(NonPrivateBaseline) as Box<dyn Estimator>,
             Box::new(EdgeDpBaseline::new(1.0).unwrap()),

@@ -1,6 +1,7 @@
 //! Integration tests for the solver layer and the family cache through the
-//! public facade: backend selection via `EstimatorConfig`, cache-correctness
-//! (cached and uncached `estimate()` agree exactly) and cache observability.
+//! public facade: the estimator's family against both exact backends,
+//! cache-correctness (cached and uncached `estimate()` agree exactly) and
+//! cache observability.
 
 use ccdp::prelude::*;
 use std::sync::Arc;
@@ -56,24 +57,29 @@ fn shared_cache_serves_a_fleet() {
 
 #[test]
 fn backends_are_selectable_and_agree_through_the_estimator() {
-    // Same seed + same (deterministic) family values ⇒ identical releases,
-    // whichever exact backend computed the family.
+    // The estimator runs the one production engine; each exact backend,
+    // selected on the reference `LipschitzExtension`, must reproduce the
+    // family values the estimator released into GEM.
     let mut rng_gen = StdRng::seed_from_u64(9);
     let g = generators::erdos_renyi(80, 3.0 / 80.0, &mut rng_gen);
-    let run = |backend: SolverBackend| {
-        let est = PrivateSpanningForestEstimator::from_config(
-            EstimatorConfig::new(1.0).with_solver(backend),
-        )
-        .unwrap();
-        let mut rng = StdRng::seed_from_u64(77);
-        est.estimate(&g, &mut rng).unwrap().value()
-    };
-    let comb = run(SolverBackend::Combinatorial);
-    let simp = run(SolverBackend::Simplex);
-    assert!(
-        (comb - simp).abs() < 1e-6,
-        "backends disagreed through the estimator: {comb} vs {simp}"
-    );
+    let est = PrivateSpanningForestEstimator::new(1.0).unwrap();
+    let release = est.estimate(&g, &mut StdRng::seed_from_u64(77)).unwrap();
+    let family = &diagnostics(&release).family_values;
+    assert!(family.len() > 1);
+    for backend in [SolverBackend::Combinatorial, SolverBackend::Simplex] {
+        let mut running_max = 0.0f64;
+        for &(delta, released) in family {
+            let value = LipschitzExtension::new(delta)
+                .with_backend(backend)
+                .evaluate(&g)
+                .unwrap();
+            running_max = running_max.max(value);
+            assert!(
+                (running_max - released).abs() < 1e-6,
+                "{backend:?} disagreed with the estimator at Δ={delta}: {running_max} vs {released}"
+            );
+        }
+    }
 }
 
 #[test]

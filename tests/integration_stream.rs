@@ -47,7 +47,7 @@ fn evolving_fleet_releases_match_their_snapshots() {
                 // from-scratch count matches the incremental one.
                 let snapshot = registry.resolve_version(&r.graph, r.version).unwrap();
                 assert_eq!(
-                    components::num_connected_components(snapshot.as_ref()),
+                    components::num_connected_components(&snapshot.csr().to_graph()),
                     r.true_components,
                     "{}@{} diverged",
                     r.graph,
