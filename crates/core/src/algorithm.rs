@@ -218,7 +218,7 @@ impl PrivateSpanningForestEstimator {
                     .collect(),
                 node_count_estimate: None,
                 spanning_forest_estimate: None,
-                budget_ledger: budget.ledger().to_vec(),
+                budget_ledger: budget.owned_ledger(),
             },
         )
     }
@@ -385,7 +385,7 @@ impl PrivateCcEstimator {
             .into_diagnostics(crate::release::DiagnosticsAccess::acknowledge_non_private());
         diagnostics.node_count_estimate = Some(node_count_estimate);
         diagnostics.spanning_forest_estimate = Some(sf_value);
-        diagnostics.budget_ledger = budget.ledger().to_vec();
+        diagnostics.budget_ledger = budget.owned_ledger();
 
         Release::new(
             node_count_estimate - sf_value,

@@ -10,7 +10,6 @@
 //! greppable acknowledgement instead of an accidental field access.
 
 use std::fmt;
-use std::sync::Arc;
 
 /// The privacy guarantee attached to a [`Release`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -93,7 +92,7 @@ pub struct Diagnostics {
     /// The private spanning-forest estimate combined by Equation (1), if any.
     pub spanning_forest_estimate: Option<f64>,
     /// The per-stage privacy-budget ledger `(stage, ε)`.
-    pub budget_ledger: Vec<(Arc<str>, f64)>,
+    pub budget_ledger: Vec<(String, f64)>,
 }
 
 /// A released estimate: the differentially private value plus data-independent

@@ -5,18 +5,20 @@
 //! stages of a composed algorithm so that callers (and tests) can verify the split
 //! adds up to the advertised guarantee.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A privacy budget that is consumed by named stages.
 #[derive(Clone, Debug)]
 pub struct PrivacyBudget {
     total_epsilon: f64,
-    spent: Vec<(Arc<str>, f64)>,
-    /// One shared allocation per distinct stage name: a long-lived serving
-    /// tenant grants the same few stages over and over, and each ledger
-    /// entry then costs one `Arc` bump instead of a fresh `String`.
-    stage_names: HashSet<Arc<str>>,
+    /// `(stage, ε)` per grant, in grant order. A long-lived serving tenant
+    /// grants the same few stages over and over and keeps every entry, so
+    /// entries share their stage's one name allocation. `Arc<String>` rather
+    /// than `Arc<str>` keeps the handle one word wide: 16 bytes per grant.
+    spent: Vec<(Arc<String>, f64)>,
+    /// The shared name of every stage granted so far.
+    stage_names: HashMap<String, Arc<String>>,
     /// Running sum of `spent`, so the hot check-and-spend path is O(1)
     /// instead of re-summing the ledger (a long-lived serving tenant records
     /// one ledger entry per release).
@@ -36,7 +38,7 @@ impl PrivacyBudget {
         PrivacyBudget {
             total_epsilon,
             spent: Vec::new(),
-            stage_names: HashSet::new(),
+            stage_names: HashMap::new(),
             spent_total: 0.0,
         }
     }
@@ -72,8 +74,9 @@ impl PrivacyBudget {
         let name = match self.stage_names.get(stage) {
             Some(name) => Arc::clone(name),
             None => {
-                let name: Arc<str> = Arc::from(stage);
-                self.stage_names.insert(Arc::clone(&name));
+                let name = Arc::new(stage.to_string());
+                self.stage_names
+                    .insert(stage.to_string(), Arc::clone(&name));
                 name
             }
         };
@@ -93,8 +96,17 @@ impl PrivacyBudget {
 
     /// The per-stage ledger (stage name, ε), in grant order. Entries of one
     /// stage share a single name allocation.
-    pub fn ledger(&self) -> &[(Arc<str>, f64)] {
+    pub fn ledger(&self) -> &[(Arc<String>, f64)] {
         &self.spent
+    }
+
+    /// A copy of the ledger with owned stage names, for reports that outlive
+    /// the budget (release diagnostics, audit snapshots).
+    pub fn owned_ledger(&self) -> Vec<(String, f64)> {
+        self.spent
+            .iter()
+            .map(|(name, epsilon)| (name.to_string(), *epsilon))
+            .collect()
     }
 
     /// Number of stages recorded in the ledger.
@@ -112,7 +124,7 @@ impl PrivacyBudget {
     pub fn spent_for_stage(&self, stage: &str) -> f64 {
         self.spent
             .iter()
-            .filter(|(name, _)| **name == *stage)
+            .filter(|(name, _)| name.as_str() == stage)
             .map(|(_, e)| e)
             .sum()
     }
@@ -215,12 +227,15 @@ mod tests {
             b.spend("fleet/g4@0", 0.5).unwrap();
         }
         let (first, second) = (&b.ledger()[0].0, &b.ledger()[1].0);
-        assert_eq!((&**first, &**second), ("fleet/g3@0", "fleet/g4@0"));
+        assert_eq!(
+            (first.as_str(), second.as_str()),
+            ("fleet/g3@0", "fleet/g4@0")
+        );
         for (i, (name, _)) in b.ledger().iter().enumerate() {
             let same = if i % 2 == 0 { first } else { second };
             assert!(Arc::ptr_eq(name, same), "entry {i} reallocated its name");
         }
-        // The budget's intern table plus one handle per ledger entry.
+        // The budget's name table plus one handle per ledger entry.
         assert_eq!(Arc::strong_count(first), 1 + 50);
         assert!((b.spent_for_stage("fleet/g3@0") - 25.0).abs() < 1e-12);
         // Clones share the names too.

@@ -198,7 +198,7 @@ impl BudgetLedger {
                     AuditEvent::new(AuditKind::BudgetCharge)
                         .tenant(tenant.as_str())
                         .graph(graph, version)
-                        .stage(&**stage)
+                        .stage(stage.as_str())
                         .epsilon(*granted, *granted)
                         .detail("checkpoint: grant predates journal"),
                 );
@@ -417,11 +417,7 @@ impl BudgetLedger {
             utilization: budget.utilization(),
             charges: budget.num_stages() as u64,
             refusals: entry.refusals.load(Ordering::Relaxed),
-            stages: budget
-                .ledger()
-                .iter()
-                .map(|(stage, granted)| (stage.to_string(), *granted))
-                .collect(),
+            stages: budget.owned_ledger(),
         })
     }
 
