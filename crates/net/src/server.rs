@@ -931,6 +931,7 @@ mod tests {
             matches!(&err, NetError::Api { status: 409, code, .. } if code == "version_exists"),
             "{err:?}"
         );
+
         let est = client.estimate("acme", "tri", 0.5, Some(1)).unwrap();
         assert_eq!(est.version, Some(1));
 
