@@ -466,7 +466,7 @@ mod tests {
 
     #[test]
     fn toggles_and_profiling_never_change_release_bits() {
-        // Micro/dedup toggles and an attached profiler are execution knobs:
+        // The micro toggle and an attached profiler are execution knobs:
         // same RNG stream, same family values, same GEM draw, same Laplace
         // sample.
         let g = PreparedGraph::from(generators::erdos_renyi(
@@ -479,10 +479,10 @@ mod tests {
         let base = sf.estimate(&g, &mut StdRng::seed_from_u64(9)).unwrap();
         let cc = PrivateCcEstimator::from_config(base_cfg).unwrap();
         let base_cc = cc.estimate(&g, &mut StdRng::seed_from_u64(10)).unwrap();
-        for (micro, dedup) in [(true, false), (false, true), (false, false)] {
+        for threads in [1, 2] {
             let config = EstimatorConfig::new(1.0)
-                .with_micro_solver(micro)
-                .with_solve_dedup(dedup);
+                .with_micro_solver(false)
+                .with_threads(threads);
             let sf = PrivateSpanningForestEstimator::from_config(config.clone()).unwrap();
             let r = sf.estimate(&g, &mut StdRng::seed_from_u64(9)).unwrap();
             assert_eq!(base.value().to_bits(), r.value().to_bits());

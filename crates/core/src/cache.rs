@@ -32,11 +32,19 @@
 //! one family evaluation instead of one per thread. Hit/miss/coalesce/
 //! eviction counters are exposed for tests and capacity planning.
 //!
-//! The [`FamilyOptions`] of an evaluation (thread budget and fast-path
-//! toggles) are deliberately **not** part of the key: family values are
+//! The [`FamilyOptions`] of an evaluation (thread budget and micro-solver
+//! toggle) are deliberately **not** part of the key: family values are
 //! bit-for-bit identical for every combination, so an entry computed with 8
 //! workers and the micro solver answers a sequential, fully general request
 //! and vice versa.
+//!
+//! The cache never holds solver state beyond the finished family. A miss on
+//! a stream snapshot evaluates through the snapshot's
+//! [`Lineage`](ccdp_graph::Lineage), which lends the previous snapshot's
+//! class table for the evaluation (see
+//! [`evaluate_family`](crate::extension::evaluate_family)); the table stays
+//! owned by the stream, so entries and their witnesses keep no table alive,
+//! and a hit never touches one.
 
 use crate::error::CoreError;
 use crate::extension::{evaluate_family, ExtensionEvaluation, FamilyOptions};

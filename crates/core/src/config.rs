@@ -133,7 +133,6 @@ pub struct EstimatorConfig {
     graph_tag: Option<GraphTag>,
     threads: Option<usize>,
     micro_solver: bool,
-    solve_dedup: bool,
     obs: ObsHandles,
 }
 
@@ -153,7 +152,6 @@ impl PartialEq for EstimatorConfig {
             && self.graph_tag == other.graph_tag
             && self.threads == other.threads
             && self.micro_solver == other.micro_solver
-            && self.solve_dedup == other.solve_dedup
     }
 }
 
@@ -174,7 +172,6 @@ impl EstimatorConfig {
             graph_tag: None,
             threads: None,
             micro_solver: true,
-            solve_dedup: true,
             obs: ObsHandles::default(),
         }
     }
@@ -205,14 +202,6 @@ impl EstimatorConfig {
     /// ablation benchmarks.
     pub fn with_micro_solver(mut self, enabled: bool) -> Self {
         self.micro_solver = enabled;
-        self
-    }
-
-    /// Enables or disables isomorphism-class solve dedup across identical
-    /// small components (default enabled). Like the micro solver, a pure
-    /// execution knob — deduplicated solves reuse bit-identical solutions.
-    pub fn with_solve_dedup(mut self, enabled: bool) -> Self {
-        self.solve_dedup = enabled;
         self
     }
 
@@ -323,18 +312,12 @@ impl EstimatorConfig {
         self.micro_solver
     }
 
-    /// Whether isomorphism-class solve dedup is enabled.
-    pub fn solve_dedup(&self) -> bool {
-        self.solve_dedup
-    }
-
     /// The family-engine execution knobs this configuration selects: the
-    /// fast-path toggles and the [resolved](Self::resolved_threads) thread
+    /// micro-solver toggle and the [resolved](Self::resolved_threads) thread
     /// budget.
     pub fn family_options(&self) -> FamilyOptions {
         FamilyOptions {
             micro: self.micro_solver,
-            dedup: self.solve_dedup,
             threads: self.resolved_threads(),
         }
     }
@@ -548,19 +531,15 @@ mod tests {
     #[test]
     fn fast_path_toggles_default_on_and_round_trip() {
         let cfg = EstimatorConfig::new(1.0);
-        assert!(cfg.micro_solver() && cfg.solve_dedup());
+        assert!(cfg.micro_solver());
         let options = cfg.clone().with_threads(1).family_options();
         assert_eq!(options, FamilyOptions::default());
-        let cfg = cfg.with_micro_solver(false).with_solve_dedup(false);
-        assert!(!cfg.micro_solver() && !cfg.solve_dedup());
+        let cfg = cfg.with_micro_solver(false);
+        assert!(!cfg.micro_solver());
         assert!(cfg.validate().is_ok());
         assert_ne!(
             EstimatorConfig::new(1.0),
             EstimatorConfig::new(1.0).with_micro_solver(false)
-        );
-        assert_ne!(
-            EstimatorConfig::new(1.0),
-            EstimatorConfig::new(1.0).with_solve_dedup(false)
         );
     }
 

@@ -18,8 +18,8 @@ use crate::error::CoreError;
 use crate::polytope::{forest_polytope_max_with, PolytopeSolution, SolverBackend};
 use ccdp_exec::PhaseProfiler;
 use ccdp_graph::forest::{bounded_degree_spanning_forest, bounded_degree_spanning_forest_csr};
-use ccdp_graph::{Graph, PreparedGraph};
-use ccdp_lp::{solve_partition, SolveOptions};
+use ccdp_graph::{ComponentPartition, Graph, PreparedGraph};
+use ccdp_lp::ClassTable;
 
 /// How `f_Δ(G)` was computed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,18 +134,15 @@ impl LipschitzExtension {
 
 /// Execution knobs of [`evaluate_family`].
 ///
-/// All three are pure execution choices: the micro solver replicates the
-/// general solver bit-for-bit, dedup only reuses solutions across identical
-/// labeled component slices, and components merge in a fixed order whatever
-/// the thread budget. Every combination yields the same family values, so
-/// none of them is part of a cache key.
+/// Both are pure execution choices: the micro solver replicates the general
+/// solver bit-for-bit, and components merge in a fixed order whatever the
+/// thread budget. Every combination yields the same family values, so
+/// neither is part of a cache key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FamilyOptions {
     /// Enable micro-component closed forms / mirrored fast solves.
     pub micro: bool,
-    /// Enable isomorphism-class (labeled-slice) solve dedup.
-    pub dedup: bool,
-    /// Worker threads for per-component solving (`<= 1` is sequential).
+    /// Worker threads for per-class solving (`<= 1` is sequential).
     pub threads: usize,
 }
 
@@ -153,20 +150,7 @@ impl Default for FamilyOptions {
     fn default() -> Self {
         FamilyOptions {
             micro: true,
-            dedup: true,
             threads: 1,
-        }
-    }
-}
-
-impl FamilyOptions {
-    fn solve_options(&self) -> SolveOptions {
-        SolveOptions {
-            micro: self.micro,
-            dedup: self.dedup,
-            // The family only feeds values into the GEM selection; skipping
-            // weight assembly saves one `f64` per edge per grid point.
-            want_weights: false,
         }
     }
 }
@@ -178,8 +162,9 @@ impl FamilyOptions {
 /// Δ, which they are mathematically (Lemma 3.3) but may fail to be by a hair
 /// numerically when different Δ values take different evaluation paths.
 ///
-/// The graph is partitioned into a component-contiguous arena once and every
-/// grid point reuses it. Each point returns the bits, value and
+/// The graph is partitioned into a component-contiguous arena and its
+/// components into a [`ClassTable`] of identical labeled slices once; every
+/// grid point reuses both. Each point returns the bits, value and
 /// [`EvaluationPath`] label that [`LipschitzExtension::evaluate_detailed`]
 /// returns on the same graph:
 ///
@@ -189,18 +174,25 @@ impl FamilyOptions {
 ///   has a vertex of degree `> Δ`, no spanning Δ-forest exists (a spanning
 ///   forest of a tree component is the component itself), so the search is
 ///   skipped without being run;
-/// * otherwise the Δ-bounded forest polytope is maximized per component over
-///   the shared partition with the combinatorial backend, merging values in
-///   component order.
+/// * otherwise the Δ-bounded forest polytope is maximized once per class with
+///   the combinatorial backend, and the class values are summed in component
+///   order.
+///
+/// A snapshot prepared with a [`Lineage`](ccdp_graph::Lineage) (a stream's)
+/// takes the class table (and the partition's buffers) the lineage retained
+/// from its previous evaluation and hands them back afterwards, so classes
+/// the previous snapshot already solved at a Δ are not solved again. The
+/// values are the same either way; a graph without a lineage builds a table
+/// and drops it.
 ///
 /// LP evaluations carry solver statistics but empty `edge_weights` (the family
 /// never uses the maximizing point itself).
 ///
 /// The optional profiler aggregates wall clock under stable phase names:
-/// `family/partition` (arena partitioning + tree precheck), `family/anchor`
-/// (fast-path checks including the Lemma 1.8 search) and `family/lp`
-/// (polytope solving), plus the `solve/*` per-partition counts. Profiling
-/// never changes values.
+/// `family/partition` (arena partitioning, the class table and the tree
+/// precheck), `family/anchor` (fast-path checks including the Lemma 1.8
+/// search) and `family/lp` (polytope solving), plus the `solve/*` per-Δ
+/// counts, `solve/class-reuse` among them. Profiling never changes values.
 ///
 /// # Panics
 /// Panics if a grid point is 0.
@@ -210,22 +202,36 @@ pub fn evaluate_family(
     options: &FamilyOptions,
     profiler: Option<&PhaseProfiler>,
 ) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    let mut out = Vec::with_capacity(grid.len());
     if g.num_edges() == 0 {
-        for &delta in grid {
-            assert!(delta >= 1, "delta must be at least 1");
-            out.push(ExtensionEvaluation {
-                value: 0.0,
-                delta,
-                path: EvaluationPath::SpanningForestFastPath,
-                lp: None,
-            });
-        }
-        return Ok(out);
+        return Ok(grid
+            .iter()
+            .map(|&delta| {
+                assert!(delta >= 1, "delta must be at least 1");
+                ExtensionEvaluation {
+                    value: 0.0,
+                    delta,
+                    path: EvaluationPath::SpanningForestFastPath,
+                    lp: None,
+                }
+            })
+            .collect());
     }
     let partition_timer = profiler.map(|p| p.phase("family/partition"));
-    let arena = g.csr();
-    let part = arena.partition_components();
+    let lineage = g.lineage();
+    let mut work: Box<FamilyWorkspace> =
+        lineage.as_ref().and_then(|l| l.take()).unwrap_or_default();
+    let FamilyWorkspace { partition, classes } = &mut *work;
+    match lineage {
+        Some(_) => g.csr().partition_components_into(partition),
+        // A one-off evaluation keeps no partition buffers it will not reuse.
+        None => *partition = g.csr().partition_components(),
+    }
+    let part = &*partition;
+    // Grid points at or above the maximum degree are anchored without a
+    // search or a solve; the table is only needed below it.
+    if grid.iter().any(|&delta| delta < g.max_degree()) {
+        classes.rebuild(part);
+    }
     // Largest maximum degree over *tree* components: for Δ below it the
     // spanning-Δ-forest search is unsatisfiable and gets skipped.
     let mut tree_max_degree = 0usize;
@@ -240,7 +246,32 @@ pub fn evaluate_family(
         }
     }
     drop(partition_timer);
-    let solve_options = options.solve_options();
+    let family = family_on_classes(g, part, classes, tree_max_degree, grid, options, profiler);
+    if let Some(lineage) = lineage {
+        lineage.put(work);
+    }
+    family
+}
+
+/// What a lineage keeps from one family evaluation for the next: the
+/// partition's buffers and the class table.
+#[derive(Default)]
+struct FamilyWorkspace {
+    partition: ComponentPartition,
+    classes: ClassTable,
+}
+
+/// The grid loop of [`evaluate_family`] over a rebuilt class table.
+fn family_on_classes(
+    g: &PreparedGraph,
+    part: &ComponentPartition,
+    classes: &mut ClassTable,
+    tree_max_degree: usize,
+    grid: &[usize],
+    options: &FamilyOptions,
+    profiler: Option<&PhaseProfiler>,
+) -> Result<Vec<ExtensionEvaluation>, CoreError> {
+    let mut out = Vec::with_capacity(grid.len());
     let mut running_max = 0.0f64;
     for &delta in grid {
         assert!(delta >= 1, "delta must be at least 1");
@@ -248,7 +279,7 @@ pub fn evaluate_family(
             let _t = profiler.map(|p| p.phase("family/anchor"));
             delta >= g.max_degree()
                 || (delta >= tree_max_degree
-                    && bounded_degree_spanning_forest_csr(arena, delta).is_some())
+                    && bounded_degree_spanning_forest_csr(g.csr(), delta).is_some())
         };
         let mut eval = if anchored {
             ExtensionEvaluation {
@@ -259,7 +290,8 @@ pub fn evaluate_family(
             }
         } else {
             let _t = profiler.map(|p| p.phase("family/lp"));
-            let solved = solve_partition(&part, delta as f64, options.threads, &solve_options)
+            let solved = classes
+                .solve(part, delta as f64, options.threads, options.micro)
                 .map_err(CoreError::from)?;
             if let Some(p) = profiler {
                 let stats = solved.stats;
@@ -269,6 +301,7 @@ pub fn evaluate_family(
                 p.add_count("solve/general-fallback", stats.general_fallback as u64);
                 p.add_count("solve/dedup-classes", stats.dedup_classes as u64);
                 p.add_count("solve/dedup-hits", stats.dedup_hits as u64);
+                p.add_count("solve/class-reuse", stats.class_reuse as u64);
             }
             ExtensionEvaluation {
                 value: solved.solution.value,
@@ -420,15 +453,12 @@ mod tests {
 
     #[test]
     fn threaded_family_matches_sequential_family_bit_for_bit() {
-        // 700 disjoint 5-cycles; Δ = 1 forces the LP path on every cycle.
-        let mut edges = Vec::new();
-        for c in 0..700usize {
-            let base = 5 * c;
-            for i in 0..5 {
-                edges.push((base + i, base + (i + 1) % 5));
-            }
-        }
-        let g = PreparedGraph::from(Graph::from_edges(3500, &edges));
+        // Thousands of distinct component classes, enough work to fan out;
+        // Δ = 1 forces the LP path on every component with a vertex of
+        // degree 2 or more.
+        let n = 20_000;
+        let mut rng = StdRng::seed_from_u64(17);
+        let g = PreparedGraph::from(generators::erdos_renyi(n, 1.2 / n as f64, &mut rng));
         for grid in [&[1usize, 2, 4, 8][..], &[1]] {
             let seq = evaluate_family(&g, grid, &FamilyOptions::default(), None).unwrap();
             for threads in [2usize, 4, 8] {
@@ -462,7 +492,7 @@ mod tests {
             3 => generators::planted_star_forest(n / 6, 2 + (seed % 6) as usize, n % 7),
             4 => generators::caveman(1 + n / 8, 2 + (seed % 5) as usize),
             5 => {
-                // Disjoint cycles of mixed lengths (repeats exercise dedup).
+                // Disjoint cycles of mixed lengths (repeats share a class).
                 let mut edges = Vec::new();
                 let mut start = 0;
                 while start + 3 <= n {
@@ -494,19 +524,15 @@ mod tests {
     fn assert_engine_matches_oracle(g: &Graph, grid: &[usize], case: &str) {
         let want = oracle_family(g, grid);
         let prepared = PreparedGraph::from(g);
-        for (micro, dedup) in [(true, true), (true, false), (false, true), (false, false)] {
-            let options = FamilyOptions {
-                micro,
-                dedup,
-                threads: 1,
-            };
+        for micro in [true, false] {
+            let options = FamilyOptions { micro, threads: 1 };
             let got = evaluate_family(&prepared, grid, &options, None).unwrap();
             assert_eq!(want.len(), got.len());
             for (w, e) in want.iter().zip(&got) {
                 assert_eq!(
                     w.value.to_bits(),
                     e.value.to_bits(),
-                    "{case} Δ={} micro={micro} dedup={dedup}: oracle {} vs engine {}",
+                    "{case} Δ={} micro={micro}: oracle {} vs engine {}",
                     w.delta,
                     w.value,
                     e.value

@@ -39,7 +39,7 @@ pub use forest::{
     SpanningForest,
 };
 pub use graph::Graph;
-pub use prepared::PreparedGraph;
+pub use prepared::{Lineage, PreparedGraph};
 pub use sensitivity::{down_sensitivity_fcc, down_sensitivity_fsf};
 pub use stars::induced_star_number;
 pub use unionfind::{UnionFind, UnionFind32};

@@ -12,10 +12,71 @@
 //! "is this the same snapshot?" a pointer comparison
 //! ([`PreparedGraph::same_snapshot`]); [`PreparedGraph::matches`] falls back
 //! to comparing arenas only for separately prepared graphs.
+//!
+//! Successive snapshots of one evolving graph form a [`Lineage`]. Its owner
+//! (a stream) holds the lineage; each snapshot prepared
+//! [with it](PreparedGraph::with_lineage) holds only a weak link, through
+//! which the solving layer carries state (its component class table) from
+//! one snapshot's evaluation to the next. A graph prepared on its own, such
+//! as a one-shot ingest, has no lineage and retains nothing.
 
 use crate::csr::CsrGraph;
 use crate::graph::Graph;
-use std::sync::Arc;
+use std::any::Any;
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
+
+/// The state slot a [`Lineage`] shares with its snapshots.
+type LineageSlot = Mutex<Option<Box<dyn Any + Send>>>;
+
+/// State retained across the snapshots of one evolving graph.
+///
+/// The owner holds the only strong handles (clones of this value); snapshots
+/// reach the slot through a weak link ([`PreparedGraph::lineage`]), so
+/// dropping the owner frees the state even while published snapshots live
+/// on. The slot is opaque here: an evaluation [takes](Self::take) the state
+/// out, works on it without holding any lock, and [puts](Self::put) it back,
+/// so two concurrent evaluations never share one state — the second simply
+/// finds the slot empty and starts fresh.
+#[derive(Clone, Debug, Default)]
+pub struct Lineage {
+    slot: Arc<LineageSlot>,
+}
+
+impl Lineage {
+    /// A lineage with nothing retained.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Takes the retained state out, leaving the slot empty. `None` if the
+    /// slot is empty or holds state of another type (which stays put).
+    pub fn take<T: Any + Send>(&self) -> Option<Box<T>> {
+        let mut slot = self.lock();
+        match slot.take()?.downcast::<T>() {
+            Ok(state) => Some(state),
+            Err(other) => {
+                *slot = Some(other);
+                None
+            }
+        }
+    }
+
+    /// Stores `state` as the retained state, replacing any other.
+    pub fn put<T: Any + Send>(&self, state: Box<T>) {
+        *self.lock() = Some(state);
+    }
+
+    /// `true` if some state is retained.
+    pub fn is_retaining(&self) -> bool {
+        self.lock().is_some()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Option<Box<dyn Any + Send>>> {
+        self.slot
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
 
 /// An immutable, cheaply clonable graph snapshot with its derived statistics
 /// computed once.
@@ -25,6 +86,8 @@ pub struct PreparedGraph {
     max_degree: usize,
     spanning_forest_size: usize,
     fingerprint: u128,
+    /// Weak link to the lineage this snapshot belongs to, if any.
+    lineage: Option<Weak<LineageSlot>>,
 }
 
 impl PreparedGraph {
@@ -36,7 +99,21 @@ impl PreparedGraph {
             spanning_forest_size: csr.spanning_forest_size(),
             fingerprint: csr.fingerprint(),
             csr: Arc::new(csr),
+            lineage: None,
         }
+    }
+
+    /// Links this snapshot to `lineage` by a weak reference: the snapshot
+    /// never keeps the lineage's state alive.
+    pub fn with_lineage(mut self, lineage: &Lineage) -> Self {
+        self.lineage = Some(Arc::downgrade(&lineage.slot));
+        self
+    }
+
+    /// The lineage this snapshot belongs to, while its owner is alive.
+    pub fn lineage(&self) -> Option<Lineage> {
+        let slot = self.lineage.as_ref()?.upgrade()?;
+        Some(Lineage { slot })
     }
 
     /// The flat CSR arena.
@@ -162,5 +239,24 @@ mod tests {
         assert!(!a.same_snapshot(&b));
         assert!(a.matches(&b));
         assert!(!a.matches(&PreparedGraph::from(generators::path(7))));
+    }
+
+    #[test]
+    fn snapshots_link_to_their_lineage_only_weakly() {
+        assert!(PreparedGraph::from(generators::path(3)).lineage().is_none());
+        let lineage = Lineage::new();
+        let snap = PreparedGraph::from(generators::path(3)).with_lineage(&lineage);
+        snap.lineage().expect("owner alive").put(Box::new(7u32));
+        assert!(lineage.is_retaining());
+        // A take of another type leaves the state in place.
+        assert!(lineage.take::<u64>().is_none());
+        assert_eq!(snap.lineage().unwrap().take::<u32>().as_deref(), Some(&7));
+        assert!(!lineage.is_retaining());
+        lineage.put(Box::new(8u32));
+        drop(lineage);
+        assert!(
+            snap.lineage().is_none(),
+            "dropping the owner frees the state"
+        );
     }
 }

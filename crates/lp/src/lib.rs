@@ -27,7 +27,7 @@ pub mod solver;
 pub use combinatorial::CombinatorialSolver;
 pub use cutting_plane::violated_forest_constraints;
 pub use micro::{
-    solve_partition, PartitionSolution, PartitionSolveStats, SolveOptions, DEDUP_MAX_VERTICES,
+    solve_partition, ClassTable, PartitionSolution, PartitionSolveStats, SolveOptions,
     MICRO_TINY_VERTICES,
 };
 pub use problem::{LinearProgram, LpError, LpSolution};

@@ -1,4 +1,4 @@
-//! Micro-component fast paths and isomorphism-class solve dedup over a
+//! Micro-component fast paths and the component class table over a
 //! component-contiguous CSR partition.
 //!
 //! On the barely-supercritical workloads the scale tier targets, a graph with
@@ -13,9 +13,30 @@
 //! This module removes that toll while keeping the results **bit-for-bit
 //! identical** to the general solver:
 //!
-//! * [`solve_partition`] — the driver: solves every component of a
-//!   [`ComponentPartition`] (sequentially or on a work-stealing fan-out,
-//!   merging in component order either way) with reusable scratch buffers.
+//! * [`ClassTable`] — the driver of a family evaluation, built once per
+//!   evaluation rather than once per Δ. Every eligible component's exact
+//!   labeled CSR slice (size, degree sequence, neighbor rows) is encoded into
+//!   one flat key arena behind a word-wise hash with chained buckets; each
+//!   component maps to a class id, and each class keeps one value per solved
+//!   Δ. A Δ then solves each *class* once — on a chunked fan-out where every
+//!   chunk owns its scratch, so no lock is taken per component — and sums
+//!   the class values in component order, the order the per-component driver
+//!   always used, so the bits are unchanged. Two components share a class
+//!   only when their keys are equal word for word (identical as labeled
+//!   graphs, a safe subset of isomorphism); a hash collision only lengthens
+//!   a chain. On ER at p = 1.05/n the class count is a fraction of the
+//!   component count, so most solves become lookups.
+//! * **Reuse across snapshots** — [`ClassTable::rebuild`] keeps the previous
+//!   partition's classes and looks every new class up among them, again by
+//!   full key comparison and never by hash alone. A class seen before carries
+//!   its value at every Δ it was solved at, so the next snapshot of an
+//!   evolving graph solves only the classes its edits created (a continual
+//!   release after 16 edits: at most 32 out of thousands). A rebuild recycles
+//!   the buffers of the generation before, so a long-lived table stops
+//!   allocating. Who keeps a table between evaluations is the caller's
+//!   choice: a stream lineage retains one, a one-shot evaluation drops it.
+//! * [`solve_partition`] — one Δ over a fresh table, with per-edge weights on
+//!   request.
 //! * **Micro solver** — for trees, unicyclic components and anything with at
 //!   most [`MICRO_TINY_VERTICES`] vertices, a CSR-native replica of the
 //!   general solver's reduction loop (same float operations in the same
@@ -28,15 +49,6 @@
 //!   column-generation tail as the general solver, so the weight vector —
 //!   and hence the value, summed in the same edge order — is identical by
 //!   construction.
-//! * **Solve dedup** — components with at most [`DEDUP_MAX_VERTICES`]
-//!   vertices are keyed by their exact labeled CSR slice (size, degree
-//!   sequence, neighbor lists) behind a hash; a hit must pass a full witness
-//!   comparison (the cache-layer `matches_graph` discipline) before its
-//!   stored solution is reused, so two components share a solve only when
-//!   they are *identical as labeled graphs* — a safe subset of isomorphism;
-//!   any hash collision fails the witness check and forces a solo solve. On
-//!   ER at p = 1.05/n the labeled-class count is a few hundred versus ~476k
-//!   components, so nearly every solve becomes a lookup.
 
 use crate::column_generation;
 use crate::combinatorial::{spanning_certificate, CombinatorialSolver, CAP_TOL};
@@ -44,26 +56,18 @@ use crate::solver::{PolytopeError, PolytopeSolution};
 use ccdp_exec::{effective_parallelism, parallel_map};
 use ccdp_graph::{ComponentPartition, CsrComponent, Graph};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Components with more vertices than this and more than `n` edges are not
 /// micro-eligible (trees and unicyclic components of any size always are).
 pub const MICRO_TINY_VERTICES: usize = 24;
 
-/// Components with at most this many vertices participate in solve dedup.
-pub const DEDUP_MAX_VERTICES: usize = 32;
-
-/// Knobs for [`solve_partition`]. Both fast paths default to on; turning
-/// either off changes cost only — never values (`micro` replicates the
-/// general solver bit-for-bit, `dedup` reuses solutions only across
-/// identical labeled slices).
+/// Knobs for [`solve_partition`]. Turning `micro` off changes cost only —
+/// never values (the micro solver replicates the general solver
+/// bit-for-bit).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SolveOptions {
     /// Enable the micro-component fast paths.
     pub micro: bool,
-    /// Enable isomorphism-class (labeled-slice) solve dedup.
-    pub dedup: bool,
     /// Assemble per-edge weights in arena edge order. The family evaluation
     /// only needs values; skipping assembly saves one `f64` per edge per Δ.
     pub want_weights: bool,
@@ -73,38 +77,42 @@ impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
             micro: true,
-            dedup: true,
             want_weights: true,
         }
     }
 }
 
-/// Where each component's solution came from, aggregated over one
-/// [`solve_partition`] call.
+/// Where each component's solution came from, aggregated over one solve of
+/// one Δ.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PartitionSolveStats {
-    /// Components actually solved or served from dedup (≥ 2 vertices, ≥ 1 edge).
+    /// Components with at least one edge (each takes its class's solution).
     pub components: usize,
-    /// Micro solves that never materialized a remnant piece (closed forms).
+    /// Classes solved by the micro solver without materializing a remnant
+    /// piece (closed forms), whether solved now or carried over.
     pub micro_closed_form: usize,
-    /// Micro solves whose remnant went through the shared certificate/LP tail.
+    /// Classes whose micro solve sent a remnant through the shared
+    /// certificate/LP tail.
     pub micro_reduced: usize,
-    /// Components handed to the general [`CombinatorialSolver`].
+    /// Classes handed to the general [`CombinatorialSolver`].
     pub general_fallback: usize,
-    /// Distinct labeled classes inserted into the dedup table.
+    /// Distinct labeled classes among the components.
     pub dedup_classes: usize,
-    /// Solves served from the dedup table.
+    /// Components served by another component's class solution
+    /// (`components − dedup_classes`).
     pub dedup_hits: usize,
+    /// Classes whose value at this Δ was carried over from the previous
+    /// partition's table instead of being solved.
+    pub class_reuse: usize,
 }
 
-/// Result of [`solve_partition`]: the merged polytope solution (weights in
-/// *arena* edge order when requested, empty otherwise) plus attribution
-/// counters.
+/// Result of one Δ solve: the merged polytope solution (weights in *arena*
+/// edge order when requested, empty otherwise) plus attribution counters.
 #[derive(Clone, Debug)]
 pub struct PartitionSolution {
     /// Merged solution; `edge_weights` is indexed like the arena's canonical
-    /// edge order (component-contiguous) and empty when
-    /// [`SolveOptions::want_weights`] is off.
+    /// edge order (component-contiguous) and empty unless
+    /// [`SolveOptions::want_weights`] asked for it.
     pub solution: PolytopeSolution,
     /// Per-path attribution.
     pub stats: PartitionSolveStats,
@@ -143,118 +151,94 @@ impl CompSolution {
     }
 }
 
-/// Solves every component of a partition and merges values **in component
-/// order** — the exact order the sequential per-component driver uses — so
-/// the result is identical for every thread budget and for every
-/// [`SolveOptions`] combination.
+/// Solves every component of a partition at one Δ over a fresh
+/// [`ClassTable`] and merges values **in component order** — the exact order
+/// the sequential per-component driver uses — so the result is identical for
+/// every thread budget and for every [`SolveOptions`] combination.
 pub fn solve_partition(
     part: &ComponentPartition,
     delta: f64,
     threads: usize,
     opts: &SolveOptions,
 ) -> Result<PartitionSolution, PolytopeError> {
+    let mut table = ClassTable::new();
+    table.rebuild(part);
+    if !opts.want_weights {
+        return table.solve(part, delta, threads, opts.micro);
+    }
+    check_delta(delta)?;
+    let live = &table.live;
+    let all: Vec<u32> = (0..live.num_classes() as u32).collect();
+    let solved = solve_classes(part, &live.representative, &all, delta, threads, opts.micro)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    let values: Vec<ClassValue> = solved.iter().map(ClassValue::from).collect();
+    let mut out = merge(&live.comp_class, &values, 0);
+    // Components are edge-contiguous in the arena, so each one's weights go
+    // to a running prefix-sum offset.
+    let mut weights = vec![0.0; part.arena().num_edges()];
+    let mut classes = live.comp_class.iter();
+    let mut offset = 0;
+    for c in 0..part.num_components() {
+        let m = part.component(c).num_edges();
+        if m > 0 {
+            let class = *classes.next().expect("one class per eligible component");
+            weights[offset..offset + m].copy_from_slice(&solved[class as usize].weights);
+        }
+        offset += m;
+    }
+    out.solution.edge_weights = weights;
+    Ok(out)
+}
+
+fn check_delta(delta: f64) -> Result<(), PolytopeError> {
     if delta <= 0.0 || !delta.is_finite() {
         return Err(PolytopeError::InvalidDelta { delta });
     }
-    let arena = part.arena();
-    let num_edges = arena.num_edges();
-
-    // Eligible components plus their arena-edge offsets (components are
-    // edge-contiguous in the arena, so offsets are a running prefix sum).
-    let mut eligible: Vec<(usize, usize)> = Vec::new();
-    let mut edge_cursor = 0usize;
-    for c in 0..part.num_components() {
-        let view = part.component(c);
-        let m = view.num_edges();
-        if view.num_vertices() >= 2 && m > 0 {
-            eligible.push((c, edge_cursor));
-        }
-        edge_cursor += m;
-    }
-    debug_assert_eq!(edge_cursor, num_edges);
-
-    let dedup = opts.dedup.then(DedupTable::new);
-    let scratch_pool: Mutex<Vec<MicroScratch>> = Mutex::new(Vec::new());
-
-    let run_one = |i: usize| -> Result<(Arc<CompSolution>, bool), PolytopeError> {
-        let view = part.component(eligible[i].0);
-        let mut scratch = scratch_pool
-            .lock()
-            .expect("scratch pool lock")
-            .pop()
-            .unwrap_or_default();
-        let out = solve_component_view(&view, delta, opts.micro, dedup.as_ref(), &mut scratch);
-        scratch_pool
-            .lock()
-            .expect("scratch pool lock")
-            .push(scratch);
-        out
-    };
-
-    let work = arena.num_vertices() + num_edges;
-    let eff = effective_parallelism(threads, work);
-    let results: Vec<Result<(Arc<CompSolution>, bool), PolytopeError>> = if eff >= 2 {
-        parallel_map(eff, eligible.len(), run_one)
-    } else {
-        (0..eligible.len()).map(run_one).collect()
-    };
-
-    let mut solution = PolytopeSolution::zero(if opts.want_weights { num_edges } else { 0 });
-    let mut stats = PartitionSolveStats {
-        components: eligible.len(),
-        ..PartitionSolveStats::default()
-    };
-    for (i, result) in results.into_iter().enumerate() {
-        let (sol, dedup_hit) = result?;
-        solution.value += sol.value;
-        solution.generated_cuts += sol.generated_cuts;
-        solution.lp_iterations += sol.lp_iterations;
-        solution.lp_solves += sol.lp_solves;
-        solution.lp_fallback_components += sol.lp_fallback_components;
-        if dedup_hit {
-            stats.dedup_hits += 1;
-        } else {
-            match sol.kind {
-                SolveKind::MicroClosedForm => stats.micro_closed_form += 1,
-                SolveKind::MicroReduced => stats.micro_reduced += 1,
-                SolveKind::General => stats.general_fallback += 1,
-            }
-        }
-        if opts.want_weights {
-            let off = eligible[i].1;
-            solution.edge_weights[off..off + sol.weights.len()].copy_from_slice(&sol.weights);
-        }
-    }
-    if let Some(table) = dedup {
-        stats.dedup_classes = table.classes.load(Ordering::Relaxed);
-    }
-    Ok(PartitionSolution { solution, stats })
+    Ok(())
 }
 
-fn solve_component_view(
-    view: &CsrComponent<'_>,
+/// Chunks per worker when classes are solved in parallel: enough for work
+/// stealing to even out one large class, few enough that per-chunk scratch
+/// stays negligible.
+const CHUNKS_PER_WORKER: usize = 8;
+
+/// Solves `classes` at `delta`, each through its representative component,
+/// returning results in the order given. The fan-out splits the list into
+/// contiguous chunks, each with its own scratch, so no lock is taken per
+/// class.
+fn solve_classes(
+    part: &ComponentPartition,
+    representative: &[u32],
+    classes: &[u32],
     delta: f64,
+    threads: usize,
     micro: bool,
-    dedup: Option<&DedupTable>,
-    scratch: &mut MicroScratch,
-) -> Result<(Arc<CompSolution>, bool), PolytopeError> {
-    let n = view.num_vertices();
-    if let Some(table) = dedup.filter(|_| n <= DEDUP_MAX_VERTICES) {
-        scratch.key_buf.clear();
-        encode_labeled_slice(view, &mut scratch.key_buf);
-        let hash = fnv1a_64(&scratch.key_buf);
-        if let Some(hit) = table.lookup(hash, &scratch.key_buf) {
-            return Ok((hit, true));
-        }
-        let sol = Arc::new(solve_component_dispatch(view, delta, micro, scratch)?);
-        let key = scratch.key_buf.clone();
-        table.insert(hash, key, Arc::clone(&sol));
-        return Ok((sol, false));
+) -> Vec<Result<CompSolution, PolytopeError>> {
+    let view = |c: u32| part.component(representative[c as usize] as usize);
+    let solve_chunk = |chunk: &[u32]| {
+        let mut scratch = MicroScratch::default();
+        chunk
+            .iter()
+            .map(|&c| solve_component_dispatch(&view(c), delta, micro, &mut scratch))
+            .collect::<Vec<_>>()
+    };
+    let work = classes
+        .iter()
+        .map(|&c| view(c).num_vertices() + view(c).num_edges())
+        .sum();
+    let workers = effective_parallelism(threads, work);
+    if workers < 2 {
+        return solve_chunk(classes);
     }
-    Ok((
-        Arc::new(solve_component_dispatch(view, delta, micro, scratch)?),
-        false,
-    ))
+    let chunks = (workers * CHUNKS_PER_WORKER).min(classes.len());
+    let len = classes.len();
+    parallel_map(workers, chunks, |i| {
+        solve_chunk(&classes[i * len / chunks..(i + 1) * len / chunks])
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 fn solve_component_dispatch(
@@ -294,7 +278,6 @@ struct MicroScratch {
     work: Vec<u32>,
     label: Vec<u32>,
     stack: Vec<u32>,
-    key_buf: Vec<u32>,
 }
 
 fn micro_solve(
@@ -627,48 +610,301 @@ pub fn cycle_polytope_value(caps: &[usize]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Labeled-slice dedup.
+// The component class table.
 // ---------------------------------------------------------------------------
 
-struct DedupEntry {
-    key: Vec<u32>,
-    sol: Arc<CompSolution>,
+/// "No class": the end of a chain, an empty bucket, a class new to a table.
+const NONE: u32 = u32::MAX;
+
+/// One class's solution at one Δ, without the weights.
+#[derive(Clone, Copy, Debug)]
+struct ClassValue {
+    value: f64,
+    generated_cuts: u32,
+    lp_iterations: u32,
+    lp_solves: u32,
+    lp_fallback_components: u32,
+    /// `None` while the class is unsolved at this Δ.
+    kind: Option<SolveKind>,
 }
 
-struct DedupTable {
-    map: Mutex<HashMap<u64, Vec<DedupEntry>>>,
-    classes: AtomicUsize,
+impl ClassValue {
+    const UNSOLVED: ClassValue = ClassValue {
+        value: 0.0,
+        generated_cuts: 0,
+        lp_iterations: 0,
+        lp_solves: 0,
+        lp_fallback_components: 0,
+        kind: None,
+    };
 }
 
-impl DedupTable {
-    fn new() -> Self {
-        DedupTable {
-            map: Mutex::new(HashMap::new()),
-            classes: AtomicUsize::new(0),
+impl From<&CompSolution> for ClassValue {
+    fn from(sol: &CompSolution) -> Self {
+        let narrow = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        ClassValue {
+            value: sol.value,
+            generated_cuts: narrow(sol.generated_cuts),
+            lp_iterations: narrow(sol.lp_iterations),
+            lp_solves: narrow(sol.lp_solves),
+            lp_fallback_components: narrow(sol.lp_fallback_components),
+            kind: Some(sol.kind),
         }
     }
+}
 
-    /// A hash hit counts only after the stored key matches the probe exactly
-    /// (witness check): colliding non-identical slices solve solo.
-    fn lookup(&self, hash: u64, key: &[u32]) -> Option<Arc<CompSolution>> {
-        let map = self.map.lock().expect("dedup lock");
-        map.get(&hash)?
+/// The class values at one Δ.
+#[derive(Debug, Default)]
+struct Slot {
+    delta: f64,
+    values: Vec<ClassValue>,
+}
+
+/// The classes of one partition.
+#[derive(Debug, Default)]
+struct Generation {
+    /// Class keys (encoded labeled slices), concatenated.
+    words: Vec<u32>,
+    /// Class `c`'s key is `words[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+    hashes: Vec<u64>,
+    /// Bucket → first class of its chain; `chain[c]` is the class after `c`.
+    heads: Vec<u32>,
+    chain: Vec<u32>,
+    /// Class → the first component carrying it, which is solved for it.
+    representative: Vec<u32>,
+    /// Class → the same class in the previous generation, or [`NONE`].
+    origin: Vec<u32>,
+    /// Eligible component (≥ 1 edge), in component order → class.
+    comp_class: Vec<u32>,
+    /// `slots[..used]` hold this generation's values; the rest are buffers
+    /// kept for reuse.
+    slots: Vec<Slot>,
+    used: usize,
+}
+
+impl Generation {
+    /// Empties the generation, keeping every buffer's capacity.
+    fn clear(&mut self) {
+        self.words.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        self.hashes.clear();
+        self.heads.clear();
+        self.chain.clear();
+        self.representative.clear();
+        self.origin.clear();
+        self.comp_class.clear();
+        self.used = 0;
+    }
+
+    fn num_classes(&self) -> usize {
+        self.hashes.len()
+    }
+
+    fn key(&self, class: u32) -> &[u32] {
+        let c = class as usize;
+        &self.words[self.starts[c]..self.starts[c + 1]]
+    }
+
+    /// The class whose key equals `key` word for word; the hash only picks
+    /// the chain.
+    fn find(&self, hash: u64, key: &[u32]) -> Option<u32> {
+        if self.heads.is_empty() {
+            return None;
+        }
+        let mut class = self.heads[bucket(hash, self.heads.len())];
+        while class != NONE {
+            if self.hashes[class as usize] == hash && self.key(class) == key {
+                return Some(class);
+            }
+            class = self.chain[class as usize];
+        }
+        None
+    }
+
+    fn slot(&self, delta: f64) -> Option<usize> {
+        self.slots[..self.used]
             .iter()
-            .find(|entry| entry.key == key)
-            .map(|entry| Arc::clone(&entry.sol))
+            .position(|s| s.delta == delta)
     }
 
-    fn insert(&self, hash: u64, key: Vec<u32>, sol: Arc<CompSolution>) {
-        let mut map = self.map.lock().expect("dedup lock");
-        let bucket = map.entry(hash).or_default();
-        // A racing worker may have inserted the same class meanwhile; keep
-        // the first (solutions are identical — pure function of the slice).
-        if bucket.iter().any(|entry| entry.key == key) {
-            return;
+    /// The slot of `delta`, opened with every class unsolved if new.
+    fn open_slot(&mut self, delta: f64) -> usize {
+        if let Some(i) = self.slot(delta) {
+            return i;
         }
-        bucket.push(DedupEntry { key, sol });
-        self.classes.fetch_add(1, Ordering::Relaxed);
+        if self.used == self.slots.len() {
+            self.slots.push(Slot::default());
+        }
+        let classes = self.num_classes();
+        let slot = &mut self.slots[self.used];
+        slot.delta = delta;
+        slot.values.clear();
+        slot.values.resize(classes, ClassValue::UNSOLVED);
+        self.used += 1;
+        self.used - 1
     }
+}
+
+/// The component class table of a family evaluation: components grouped into
+/// classes of identical labeled slices, with one value per class and solved
+/// Δ (see the module docs).
+///
+/// [`rebuild`](Self::rebuild) classifies a partition; [`solve`](Self::solve)
+/// then answers each Δ. A table kept across rebuilds remembers the
+/// partition before, so classes the new partition shares with it are not
+/// solved again. The caller decides the lifetime: a fresh table per
+/// evaluation reuses nothing across partitions.
+#[derive(Debug)]
+pub struct ClassTable {
+    live: Generation,
+    previous: Generation,
+    hash: fn(&[u32]) -> u64,
+}
+
+impl Default for ClassTable {
+    fn default() -> Self {
+        ClassTable {
+            live: Generation::default(),
+            previous: Generation::default(),
+            hash: hash_words,
+        }
+    }
+}
+
+impl ClassTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Classifies the components of `part`. The classes of the previous
+    /// rebuild stay available for [`solve`](Self::solve) to carry values
+    /// from; the generation before that is cleared and its buffers reused.
+    pub fn rebuild(&mut self, part: &ComponentPartition) {
+        std::mem::swap(&mut self.live, &mut self.previous);
+        let ClassTable {
+            live,
+            previous,
+            hash,
+        } = self;
+        live.clear();
+        let eligible = (0..part.num_components())
+            .filter(|&c| part.component(c).num_edges() > 0)
+            .count();
+        let buckets = eligible.next_power_of_two();
+        live.heads.resize(buckets, NONE);
+        for c in 0..part.num_components() {
+            let view = part.component(c);
+            if view.num_edges() == 0 {
+                continue;
+            }
+            // Encode at the arena's tail; keep the words only for a new class.
+            let start = live.words.len();
+            encode_labeled_slice(&view, &mut live.words);
+            let key_hash = hash(&live.words[start..]);
+            let class = match live.find(key_hash, &live.words[start..]) {
+                Some(class) => {
+                    live.words.truncate(start);
+                    class
+                }
+                None => {
+                    let class = live.num_classes() as u32;
+                    let b = bucket(key_hash, buckets);
+                    live.chain.push(live.heads[b]);
+                    live.heads[b] = class;
+                    live.hashes.push(key_hash);
+                    live.starts.push(live.words.len());
+                    live.representative.push(c as u32);
+                    let origin = previous.find(key_hash, &live.words[start..]);
+                    live.origin.push(origin.unwrap_or(NONE));
+                    class
+                }
+            };
+            live.comp_class.push(class);
+        }
+    }
+
+    /// Solves the rebuilt partition at `delta` and merges the class values
+    /// in component order, without weights. A class already valued at
+    /// `delta` — in this table, or in the previous rebuild's under an equal
+    /// key — is not solved again; the rest are solved once each on up to
+    /// `threads` workers.
+    pub fn solve(
+        &mut self,
+        part: &ComponentPartition,
+        delta: f64,
+        threads: usize,
+        micro: bool,
+    ) -> Result<PartitionSolution, PolytopeError> {
+        check_delta(delta)?;
+        let slot = self.live.open_slot(delta);
+        let carried = self
+            .previous
+            .slot(delta)
+            .map(|i| &self.previous.slots[i].values[..]);
+        let Generation {
+            representative,
+            origin,
+            comp_class,
+            slots,
+            ..
+        } = &mut self.live;
+        let values = &mut slots[slot].values;
+        let mut pending = Vec::new();
+        let mut reused = 0;
+        for (class, value) in values.iter_mut().enumerate() {
+            if value.kind.is_some() {
+                continue;
+            }
+            let before = carried
+                .and_then(|carried| carried.get(origin[class] as usize))
+                .filter(|v| v.kind.is_some());
+            match before {
+                Some(&v) => {
+                    *value = v;
+                    reused += 1;
+                }
+                None => pending.push(class as u32),
+            }
+        }
+        let solved = solve_classes(part, representative, &pending, delta, threads, micro);
+        for (&class, sol) in pending.iter().zip(solved) {
+            values[class as usize] = ClassValue::from(&sol?);
+        }
+        Ok(merge(comp_class, values, reused))
+    }
+}
+
+/// Sums class values over the components in component order — one class
+/// value per component, exactly the per-component driver's summation — and
+/// attributes the classes by solve path.
+fn merge(comp_class: &[u32], values: &[ClassValue], reused: usize) -> PartitionSolution {
+    let mut solution = PolytopeSolution::zero(0);
+    for &class in comp_class {
+        let v = &values[class as usize];
+        solution.value += v.value;
+        solution.generated_cuts += v.generated_cuts as usize;
+        solution.lp_iterations += v.lp_iterations as usize;
+        solution.lp_solves += v.lp_solves as usize;
+        solution.lp_fallback_components += v.lp_fallback_components as usize;
+    }
+    let mut stats = PartitionSolveStats {
+        components: comp_class.len(),
+        dedup_classes: values.len(),
+        dedup_hits: comp_class.len() - values.len(),
+        class_reuse: reused,
+        ..PartitionSolveStats::default()
+    };
+    for v in values {
+        match v.kind.expect("every class is solved before merging") {
+            SolveKind::MicroClosedForm => stats.micro_closed_form += 1,
+            SolveKind::MicroReduced => stats.micro_reduced += 1,
+            SolveKind::General => stats.general_fallback += 1,
+        }
+    }
+    PartitionSolution { solution, stats }
 }
 
 /// Canonical encoding of a component's labeled CSR slice: vertex count,
@@ -681,21 +917,22 @@ fn encode_labeled_slice(view: &CsrComponent<'_>, out: &mut Vec<u32>) {
         out.push(view.degree(v) as u32);
     }
     for v in 0..n {
-        for w in view.neighbors(v) {
-            out.push(w as u32);
-        }
+        out.extend(view.neighbors(v).map(|w| w as u32));
     }
 }
 
-fn fnv1a_64(words: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in words {
-        for byte in w.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    }
-    h
+/// Word-wise multiplicative hash of a class key. Equal hashes only pick a
+/// chain; classes are told apart by full key comparison.
+fn hash_words(words: &[u32]) -> u64 {
+    words.iter().fold(words.len() as u64, |h, &w| {
+        (h.rotate_left(5) ^ w as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
+/// Bucket of `hash` among a power-of-two number of buckets (the multiply
+/// leaves its best bits high, so fold them down first).
+fn bucket(hash: u64, buckets: usize) -> usize {
+    ((hash >> 32) ^ hash) as usize & (buckets - 1)
 }
 
 #[cfg(test)]
@@ -744,18 +981,7 @@ mod tests {
                 for opts in [
                     SolveOptions::default(),
                     SolveOptions {
-                        micro: true,
-                        dedup: false,
-                        want_weights: true,
-                    },
-                    SolveOptions {
                         micro: false,
-                        dedup: true,
-                        want_weights: true,
-                    },
-                    SolveOptions {
-                        micro: false,
-                        dedup: false,
                         want_weights: true,
                     },
                 ] {
@@ -834,10 +1060,95 @@ mod tests {
         assert_eq!(got.stats.dedup_hits, 0);
     }
 
+    /// Two copies of `a` and one of `b` side by side, in that vertex order.
+    fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
+        let mut g = Graph::new(2 * a.num_vertices() + b.num_vertices());
+        for shift in [0, a.num_vertices()] {
+            for (u, v) in a.edges() {
+                g.add_edge(shift + u, shift + v);
+            }
+        }
+        for (u, v) in b.edges() {
+            g.add_edge(2 * a.num_vertices() + u, 2 * a.num_vertices() + v);
+        }
+        g
+    }
+
+    fn solve_fresh(g: &Graph, delta: f64) -> PartitionSolution {
+        partition_value(
+            g,
+            delta,
+            &SolveOptions {
+                want_weights: false,
+                ..SolveOptions::default()
+            },
+        )
+    }
+
+    #[test]
+    fn rebuild_carries_values_of_unchanged_classes_only() {
+        let tri = generators::complete(3);
+        let before = disjoint_union(&generators::cycle(5), &tri);
+        let after = disjoint_union(&generators::cycle(5), &generators::path(4));
+        let mut table = ClassTable::new();
+        for (g, reused) in [(&before, 0), (&after, 1)] {
+            let part = CsrGraph::from_graph(g).partition_components();
+            table.rebuild(&part);
+            let got = table.solve(&part, 1.0, 1, true).unwrap();
+            assert_eq!((got.stats.components, got.stats.dedup_classes), (3, 2));
+            // The 5-cycle class carries over; the path is new.
+            assert_eq!(got.stats.class_reuse, reused);
+            assert_eq!(got.stats.dedup_hits, 1);
+            let fresh = solve_fresh(g, 1.0);
+            assert_eq!(got.solution.value.to_bits(), fresh.solution.value.to_bits());
+            assert_eq!(got.solution.lp_solves, fresh.solution.lp_solves);
+            // A second solve at the same Δ solves and reuses nothing.
+            let again = table.solve(&part, 1.0, 1, true).unwrap();
+            assert_eq!(again.stats.class_reuse, 0);
+            assert_eq!(
+                again.solution.value.to_bits(),
+                fresh.solution.value.to_bits()
+            );
+        }
+        // A Δ the previous partition never solved is solved afresh.
+        let part = CsrGraph::from_graph(&after).partition_components();
+        table.rebuild(&part);
+        let got = table.solve(&part, 2.0, 1, true).unwrap();
+        assert_eq!(got.stats.class_reuse, 0);
+        assert_eq!(
+            got.solution.value.to_bits(),
+            solve_fresh(&after, 2.0).solution.value.to_bits()
+        );
+    }
+
+    #[test]
+    fn forged_hash_collisions_solve_instead_of_reusing() {
+        // Every key hashes alike, within one partition and across rebuilds:
+        // only full key comparison can tell the classes apart.
+        let mut table = ClassTable {
+            hash: |_| 7,
+            ..ClassTable::new()
+        };
+        let before = disjoint_union(&generators::complete(3), &generators::star(4));
+        let after = disjoint_union(&generators::path(3), &generators::star(4));
+        for (g, reused) in [(&before, 0), (&after, 1)] {
+            let part = CsrGraph::from_graph(g).partition_components();
+            table.rebuild(&part);
+            let got = table.solve(&part, 1.0, 1, true).unwrap();
+            assert_eq!(got.stats.dedup_classes, 2, "colliding classes stay apart");
+            // Only the star is an equal key; the path collides with the
+            // triangle's hash but is solved, never handed its value.
+            assert_eq!(got.stats.class_reuse, reused);
+            let fresh = solve_fresh(g, 1.0);
+            assert_eq!(got.solution.value.to_bits(), fresh.solution.value.to_bits());
+        }
+    }
+
     #[test]
     fn partition_solve_is_thread_invariant() {
+        // Large enough that the classes' work feeds several workers.
         let mut rng = StdRng::seed_from_u64(5);
-        let g = generators::erdos_renyi(3000, 1.05 / 3000.0, &mut rng);
+        let g = generators::erdos_renyi(20_000, 1.05 / 20_000.0, &mut rng);
         let part = CsrGraph::from_graph(&g).partition_components();
         let seq = solve_partition(&part, 1.0, 1, &SolveOptions::default()).unwrap();
         for threads in [2, 4, 8] {

@@ -1,11 +1,11 @@
 //! Property tests for the micro-component fast paths: on every generator
 //! family, every Δ in the small grid, every toggle combination and thread
 //! budget, `solve_partition` must return the exact bits of the general
-//! combinatorial path — micro closed forms and isomorphism-class dedup are
-//! pure work-savers, never value-changers.
+//! combinatorial path — micro closed forms and the class table's shared
+//! solves are pure work-savers, never value-changers.
 
 use ccdp_graph::{generators, CsrGraph, Graph};
-use ccdp_lp::{solve_partition, SolveOptions};
+use ccdp_lp::{solve_partition, CombinatorialSolver, PolytopeSolver, SolveOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,10 +32,9 @@ fn family_graph(family: u8, n: usize, seed: u64) -> Graph {
     }
 }
 
-fn options(micro: bool, dedup: bool) -> SolveOptions {
+fn options(micro: bool) -> SolveOptions {
     SolveOptions {
         micro,
-        dedup,
         want_weights: true,
     }
 }
@@ -43,11 +42,11 @@ fn options(micro: bool, dedup: bool) -> SolveOptions {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Micro + dedup vs the general path: identical value bits and identical
+    /// Micro vs the general path: identical value bits and identical
     /// per-edge weight bits (arena order), for every family, Δ and thread
     /// budget.
     #[test]
-    fn micro_and_dedup_match_general_bitwise(
+    fn micro_matches_general_bitwise(
         family in 0u8..5,
         n in 4usize..60,
         seed in 0u64..1u64 << 48,
@@ -58,15 +57,15 @@ proptest! {
         let part = arena.partition_components();
         let delta = delta as f64;
 
-        let base = solve_partition(&part, delta, 1, &options(false, false)).unwrap();
-        for (micro, dedup) in [(true, true), (true, false), (false, true)] {
+        let base = solve_partition(&part, delta, 1, &options(false)).unwrap();
+        for micro in [true, false] {
             for threads in [1usize, 3] {
-                let fast = solve_partition(&part, delta, threads, &options(micro, dedup)).unwrap();
+                let fast = solve_partition(&part, delta, threads, &options(micro)).unwrap();
                 prop_assert_eq!(
                     base.solution.value.to_bits(),
                     fast.solution.value.to_bits(),
-                    "value bits diverged: family={} micro={} dedup={} threads={}",
-                    family, micro, dedup, threads
+                    "value bits diverged: family={} micro={} threads={}",
+                    family, micro, threads
                 );
                 prop_assert_eq!(
                     base.solution.edge_weights.len(),
@@ -82,21 +81,23 @@ proptest! {
                     prop_assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
-                        "weight bits diverged at edge {}: micro={} dedup={}",
-                        i, micro, dedup
+                        "weight bits diverged at edge {}: micro={} threads={}",
+                        i, micro, threads
                     );
                 }
             }
         }
     }
 
-    /// Dedup never pairs non-isomorphic components: a graph made of two
-    /// independently random components must release the same bits with and
-    /// without dedup — a false cache pairing would hand one component the
-    /// other's weights and break this immediately. The class/hit counters
-    /// must also stay consistent with the component count.
+    /// The class table never pairs different labeled components: a graph
+    /// made of two independently random components must release each one's
+    /// own weights, bit for bit, as solved alone — a false class pairing
+    /// would hand one component the other's weights and break this
+    /// immediately — and the value of the general solver on the whole graph.
+    /// The class/hit counters must also stay consistent with the component
+    /// count.
     #[test]
-    fn dedup_separates_random_component_pairs(
+    fn class_table_separates_random_component_pairs(
         fam_a in 0u8..5,
         fam_b in 0u8..5,
         na in 4usize..20,
@@ -114,27 +115,25 @@ proptest! {
         for (u, v) in b.edges() {
             g.add_edge(a.num_vertices() + u, a.num_vertices() + v);
         }
-        let part = CsrGraph::from_graph(&g).partition_components();
-        let delta = delta as f64;
-
-        let plain = solve_partition(&part, delta, 1, &options(true, false)).unwrap();
-        let deduped = solve_partition(&part, delta, 1, &options(true, true)).unwrap();
+        let solve = |g: &Graph| {
+            let part = CsrGraph::from_graph(g).partition_components();
+            solve_partition(&part, delta as f64, 1, &options(true)).unwrap()
+        };
+        let union = solve(&g);
+        let general = CombinatorialSolver::new().solve(&g, delta as f64).unwrap();
         prop_assert_eq!(
-            plain.solution.value.to_bits(),
-            deduped.solution.value.to_bits()
+            general.value.to_bits(),
+            union.solution.value.to_bits()
         );
-        for (x, y) in plain
-            .solution
-            .edge_weights
+        // a's components come first in the union's arena, then b's.
+        let alone: Vec<u64> = [solve(&a), solve(&b)]
             .iter()
-            .zip(&deduped.solution.edge_weights)
-        {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // Every dedup-eligible solve is either a new class or a hit; these
-        // components are all small enough to be eligible.
-        let stats = deduped.stats;
-        prop_assert!(stats.dedup_classes + stats.dedup_hits <= stats.components);
+            .flat_map(|s| s.solution.edge_weights.iter().map(|w| w.to_bits()))
+            .collect();
+        let together: Vec<u64> = union.solution.edge_weights.iter().map(|w| w.to_bits()).collect();
+        prop_assert_eq!(alone, together);
+        let stats = union.stats;
+        prop_assert_eq!(stats.dedup_classes + stats.dedup_hits, stats.components);
         prop_assert!(stats.components == 0 || stats.dedup_classes >= 1);
     }
 }

@@ -54,7 +54,6 @@ pub struct ServeConfig {
     delta_max: Option<usize>,
     estimator_threads: Option<usize>,
     estimator_micro: bool,
-    estimator_dedup: bool,
     tracing: bool,
     audit: bool,
 }
@@ -71,7 +70,6 @@ impl ServeConfig {
             delta_max: None,
             estimator_threads: None,
             estimator_micro: true,
-            estimator_dedup: true,
             tracing: false,
             audit: true,
         }
@@ -156,14 +154,6 @@ impl ServeConfig {
     /// fallback drills.
     pub fn with_estimator_micro(mut self, micro: bool) -> Self {
         self.estimator_micro = micro;
-        self
-    }
-
-    /// Enables or disables isomorphism-class solve dedup forwarded to
-    /// [`EstimatorConfig::with_solve_dedup`]. On by default; value-neutral
-    /// like the micro toggle.
-    pub fn with_estimator_dedup(mut self, dedup: bool) -> Self {
-        self.estimator_dedup = dedup;
         self
     }
 
@@ -813,9 +803,7 @@ fn handle_request(
     if let Some(threads) = config.estimator_threads {
         est_config = est_config.with_threads(threads);
     }
-    est_config = est_config
-        .with_micro_solver(config.estimator_micro)
-        .with_solve_dedup(config.estimator_dedup);
+    est_config = est_config.with_micro_solver(config.estimator_micro);
     let estimator =
         PrivateCcEstimator::from_config(est_config).map_err(|e| ServeError::Estimator(e.into()))?;
     // Deterministic per-request stream: the same (seed, request id) pair

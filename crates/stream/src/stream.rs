@@ -22,12 +22,24 @@
 //! immutable [`GraphSnapshot`] stamped with the stream's next
 //! [`GraphVersion`]; versions increase monotonically and are never reused,
 //! so downstream consumers (registry, cache, release log) can treat
-//! `(id, version)` as a permanent name for one exact edge set.
+//! `(id, version)` as a permanent name for one exact edge set. A snapshot is
+//! prepared once (CSR arena, fingerprint, `f_sf`); its adjacency-list
+//! [`GraphSnapshot::graph`] is only materialized from the arena if someone
+//! asks for it, since the release path never does.
+//!
+//! The stream also owns its snapshots' [`Lineage`]: the state the family
+//! evaluation carries from one snapshot to the next, namely the component
+//! class table, so a release re-solves only the components its edits
+//! changed. The stream holds the one strong handle. Each snapshot links to it
+//! weakly, so a published snapshot never keeps a table alive, and dropping
+//! the stream frees it. Clones of a stream share the lineage; a shared table
+//! is still only reused under full key comparison, so any snapshot
+//! evaluates to the same bits.
 
 use crate::error::StreamError;
-use ccdp_graph::{components, Graph, GraphVersion, PreparedGraph, UnionFind};
+use ccdp_graph::{components, Graph, GraphVersion, Lineage, PreparedGraph, UnionFind};
 use ccdp_serve::GraphId;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What one mutation does to an edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -78,7 +90,9 @@ impl Mutation {
 pub struct GraphSnapshot {
     id: GraphId,
     version: GraphVersion,
-    graph: Arc<Graph>,
+    /// The adjacency-list graph, materialized from `prepared` on first use
+    /// and shared by every clone.
+    graph: Arc<OnceLock<Arc<Graph>>>,
     prepared: PreparedGraph,
     num_components: usize,
     time: u64,
@@ -96,16 +110,18 @@ impl GraphSnapshot {
         self.version
     }
 
-    /// The frozen graph (shared, never mutated).
+    /// The frozen graph (shared, never mutated). Built from the prepared
+    /// arena on the first call, once for the snapshot and all its clones.
     pub fn graph(&self) -> &Arc<Graph> {
-        &self.graph
+        self.graph
+            .get_or_init(|| Arc::new(self.prepared.csr().to_graph()))
     }
 
     /// The frozen graph prepared for solving — CSR arena, fingerprint and
     /// spanning-forest size — built once at the freeze point and shared by
     /// every clone of the snapshot. This is what a release publishes to the
     /// registry, as is: nothing is rebuilt between snapshot, registry and
-    /// family cache.
+    /// family cache. It links weakly to the stream's [`Lineage`].
     pub fn prepared(&self) -> &PreparedGraph {
         &self.prepared
     }
@@ -164,6 +180,8 @@ pub struct GraphStream {
     cross_check: bool,
     max_vertices: usize,
     stats: StreamStats,
+    /// Solver state carried across this stream's snapshots.
+    lineage: Lineage,
 }
 
 impl GraphStream {
@@ -190,6 +208,7 @@ impl GraphStream {
             cross_check: false,
             max_vertices,
             stats: StreamStats::default(),
+            lineage: Lineage::new(),
         }
     }
 
@@ -232,6 +251,11 @@ impl GraphStream {
     /// Lifetime counters.
     pub fn stats(&self) -> StreamStats {
         self.stats
+    }
+
+    /// The lineage this stream's snapshots link to.
+    pub fn lineage(&self) -> &Lineage {
+        &self.lineage
     }
 
     /// Applies one mutation. Returns whether the graph changed (re-inserting
@@ -344,8 +368,8 @@ impl GraphStream {
         GraphSnapshot {
             id: self.id.clone(),
             version,
-            prepared: PreparedGraph::from(&self.graph),
-            graph: Arc::new(self.graph.clone()),
+            prepared: PreparedGraph::from(&self.graph).with_lineage(&self.lineage),
+            graph: Arc::default(),
             num_components,
             time: self.clock,
             mutations_applied: self.stats.mutations_applied,
@@ -503,6 +527,7 @@ mod tests {
         s.apply(&Mutation::insert(2, 1, 2)).unwrap();
         s.apply(&Mutation::insert(3, 3, 4)).unwrap();
         let snap = s.snapshot();
+        assert_eq!(**snap.graph(), *s.graph());
         assert!(snap.prepared().csr().matches_graph(snap.graph()));
         assert_eq!(
             snap.prepared().num_connected_components(),

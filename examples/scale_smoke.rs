@@ -9,8 +9,8 @@
 //!   adjacency-list `Graph` is ever materialized and n = 10^7 fits,
 //! * the sequential and 8-thread releases are **bit-for-bit identical** on
 //!   the same seed (`with_threads` is a pure scheduling knob),
-//! * the micro-solver and solve-dedup fast paths are **value-neutral**:
-//!   every toggle combination releases the same bits,
+//! * the micro-solver fast path is **value-neutral**: the release with it
+//!   off has the same bits,
 //! * at moderate n the streamed arena matches the adjacency-list `Graph`
 //!   build, and releasing either one gives the same bits (same RNG stream,
 //!   same mechanisms),
@@ -20,8 +20,8 @@
 //! With `--json PATH`, writes the measurements (including the per-phase
 //! wall-clock breakdown from [`PhaseProfiler`], published through the
 //! unified [`MetricsRegistry`](ccdp::MetricsRegistry) as the same
-//! `ccdp_exec_phase_*` series the serving tier scrapes, and the micro/dedup
-//! ablation timings) archived as `BENCH_scale.json`. With `--baseline PATH`, loads a
+//! `ccdp_exec_phase_*` series the serving tier scrapes, and the micro
+//! ablation timing) archived as `BENCH_scale.json`. With `--baseline PATH`, loads a
 //! committed phase baseline and fails if any phase regressed more than 3×
 //! against it — the CI regression gate.
 //!
@@ -51,22 +51,20 @@ const PHASE_REGRESSION_FACTOR: f64 = 3.0;
 /// Phases faster than this in the baseline are too noisy to gate on.
 const PHASE_GATE_FLOOR_S: f64 = 0.05;
 
-fn config(threads: usize, micro: bool, dedup: bool) -> EstimatorConfig {
+fn config(threads: usize, micro: bool) -> EstimatorConfig {
     EstimatorConfig::new(1.0)
         .with_threads(threads)
         .with_delta_max(64)
         .with_micro_solver(micro)
-        .with_solve_dedup(dedup)
 }
 
 fn release(
     g: &PreparedGraph,
     threads: usize,
     micro: bool,
-    dedup: bool,
     profiler: Option<&Arc<PhaseProfiler>>,
 ) -> (f64, f64) {
-    let mut config = config(threads, micro, dedup);
+    let mut config = config(threads, micro);
     if let Some(p) = profiler {
         config = config.with_profiler(Arc::clone(p));
     }
@@ -195,12 +193,15 @@ fn main() {
         "graph: n={n} m={m} components={truth} (streamed into CSR and prepared in {build_s:.2}s)"
     );
 
-    // Primary configuration (micro + dedup on), with the per-phase breakdown
+    // Primary configuration (micro on), with the per-phase breakdown
     // attributed on the sequential run.
     let profiler = Arc::new(PhaseProfiler::new());
-    let (v1, t1) = release(&graph, 1, true, true, Some(&profiler));
-    println!("threads=1: value={v1:.3} in {t1:.2}s");
-    let (v8, t8) = release(&graph, 8, true, true, None);
+    let (v1, t1) = release(&graph, 1, true, Some(&profiler));
+    println!(
+        "threads=1: value={v1:.3} (bits {:#018x}) in {t1:.2}s",
+        v1.to_bits()
+    );
+    let (v8, t8) = release(&graph, 8, true, None);
     println!("threads=8: value={v8:.3} in {t8:.2}s");
     assert_eq!(
         v1.to_bits(),
@@ -215,22 +216,20 @@ fn main() {
     profiler.publish(&registry);
     print_phase_table(&registry.snapshot());
 
-    // Value-neutrality of the fast paths: every toggle combination must
-    // release the same bits. (micro=off, dedup=off) is the pre-optimization
-    // solver; at large n it is exactly the slow path this example exists to
-    // retire, so ablations are opt-out via --no-ablate.
-    let mut ablations: Vec<(bool, bool, f64)> = Vec::new();
+    // Value-neutrality of the micro fast path: the release with it off must
+    // have the same bits. At large n the general solver on every class is
+    // the slow path this example exists to retire, so the ablation is
+    // opt-out via --no-ablate.
+    let mut ablations: Vec<(bool, f64)> = Vec::new();
     if ablate {
-        for (micro, dedup) in [(false, true), (true, false), (false, false)] {
-            let (v, t) = release(&graph, 1, micro, dedup, None);
-            assert_eq!(
-                v1.to_bits(),
-                v.to_bits(),
-                "micro={micro} dedup={dedup} must release identical bits"
-            );
-            println!("ablation micro={micro} dedup={dedup}: {t:.2}s (bit-identical)");
-            ablations.push((micro, dedup, t));
-        }
+        let (v, t) = release(&graph, 1, false, None);
+        assert_eq!(
+            v1.to_bits(),
+            v.to_bits(),
+            "micro=false must release identical bits"
+        );
+        println!("ablation micro=false: {t:.2}s (bit-identical)");
+        ablations.push((false, t));
     }
 
     // At moderate n, pin the streamed arena against the adjacency-list
@@ -241,7 +240,7 @@ fn main() {
             graph.csr().matches_graph(&g),
             "stream and Graph builds diverged"
         );
-        let est = PrivateCcEstimator::from_config(config(1, true, true)).expect("valid config");
+        let est = PrivateCcEstimator::from_config(config(1, true)).expect("valid config");
         let gv = est
             .estimate(&g, &mut StdRng::seed_from_u64(SEED_NOISE))
             .expect("estimate completes")
@@ -297,9 +296,7 @@ fn main() {
             .collect();
         let ablation_json: Vec<String> = ablations
             .iter()
-            .map(|(micro, dedup, t)| {
-                format!("{{\"micro\":{micro},\"dedup\":{dedup},\"t_s\":{t:.3},\"identical\":true}}")
-            })
+            .map(|(micro, t)| format!("{{\"micro\":{micro},\"t_s\":{t:.3},\"identical\":true}}"))
             .collect();
         let json = format!(
             "{{\"n\":{n},\"m\":{m},\"components\":{truth},\"build_s\":{build_s:.3},\

@@ -71,8 +71,8 @@ const USAGE: &str =
             and the fired-alert history (exit 2 when any triple breaches)\n\
   bench     drive the wire load workload ([out=] writes the report JSON;\n\
             [n=] swaps in one ER graph of that size, [threads=] pins the\n\
-            per-request estimator thread budget, [micro=on|off] and\n\
-            [dedup=on|off] toggle the fast solve paths)\n\
+            per-request estimator thread budget, [micro=on|off]\n\
+            toggles the micro-component fast solve path)\n\
   common    addr=127.0.0.1:8787";
 
 /// How a successful command ended (drives the exit code).
@@ -120,7 +120,6 @@ fn run(args: &[String]) -> Result<Outcome, CliError> {
             rest,
             &[
                 "addr", "clients", "requests", "epsilon", "seed", "out", "n", "threads", "micro",
-                "dedup",
             ],
         )?),
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
@@ -582,13 +581,10 @@ fn cmd_bench(args: Args) -> Result<Outcome, CliError> {
         let threads = args.u64_or("threads", 1)? as usize;
         spec.base.server = spec.base.server.clone().with_estimator_threads(threads);
     }
-    // `micro=` / `dedup=` toggle the value-neutral fast solve paths for A/B
-    // timing; both default to on.
+    // `micro=` toggles the value-neutral micro solve path for A/B timing;
+    // it defaults to on.
     if let Some(micro) = args.toggle_opt("micro")? {
         spec.base.server = spec.base.server.clone().with_estimator_micro(micro);
-    }
-    if let Some(dedup) = args.toggle_opt("dedup")? {
-        spec.base.server = spec.base.server.clone().with_estimator_dedup(dedup);
     }
 
     let report = match args.opt("addr") {
