@@ -179,9 +179,9 @@ impl Default for FamilyOptions {
 ///   order.
 ///
 /// A snapshot prepared with a [`Lineage`](ccdp_graph::Lineage) (a stream's)
-/// takes the class table (and the partition's buffers) the lineage retained
-/// from its previous evaluation and hands them back afterwards, so classes
-/// the previous snapshot already solved at a Δ are not solved again. The
+/// takes the class table the lineage retained from its previous evaluation
+/// and hands it back afterwards, so classes the previous snapshot already
+/// solved at a Δ are not solved again. The
 /// values are the same either way; a graph without a lineage builds a table
 /// and drops it.
 ///
@@ -217,20 +217,13 @@ pub fn evaluate_family(
             .collect());
     }
     let partition_timer = profiler.map(|p| p.phase("family/partition"));
+    let part = g.csr().partition_components();
     let lineage = g.lineage();
-    let mut work: Box<FamilyWorkspace> =
-        lineage.as_ref().and_then(|l| l.take()).unwrap_or_default();
-    let FamilyWorkspace { partition, classes } = &mut *work;
-    match lineage {
-        Some(_) => g.csr().partition_components_into(partition),
-        // A one-off evaluation keeps no partition buffers it will not reuse.
-        None => *partition = g.csr().partition_components(),
-    }
-    let part = &*partition;
+    let mut classes: Box<ClassTable> = lineage.as_ref().and_then(|l| l.take()).unwrap_or_default();
     // Grid points at or above the maximum degree are anchored without a
     // search or a solve; the table is only needed below it.
     if grid.iter().any(|&delta| delta < g.max_degree()) {
-        classes.rebuild(part);
+        classes.rebuild(&part);
     }
     // Largest maximum degree over *tree* components: for Δ below it the
     // spanning-Δ-forest search is unsatisfiable and gets skipped.
@@ -246,19 +239,19 @@ pub fn evaluate_family(
         }
     }
     drop(partition_timer);
-    let family = family_on_classes(g, part, classes, tree_max_degree, grid, options, profiler);
+    let family = family_on_classes(
+        g,
+        &part,
+        &mut classes,
+        tree_max_degree,
+        grid,
+        options,
+        profiler,
+    );
     if let Some(lineage) = lineage {
-        lineage.put(work);
+        lineage.put(classes);
     }
     family
-}
-
-/// What a lineage keeps from one family evaluation for the next: the
-/// partition's buffers and the class table.
-#[derive(Default)]
-struct FamilyWorkspace {
-    partition: ComponentPartition,
-    classes: ClassTable,
 }
 
 /// The grid loop of [`evaluate_family`] over a rebuilt class table.

@@ -246,18 +246,11 @@ impl CsrGraph {
     /// order of smallest vertex — identical numbering to
     /// [`connected_component_labels`](crate::components::connected_component_labels).
     pub fn component_labels(&self) -> Vec<u32> {
-        let mut label = Vec::new();
-        self.component_labels_into(&mut label, &mut Vec::new());
-        label
-    }
-
-    /// [`component_labels`](Self::component_labels) into `label`, with
-    /// `stack` as the search stack; returns the number of components.
-    fn component_labels_into(&self, label: &mut Vec<u32>, stack: &mut Vec<u32>) -> usize {
-        label.clear();
-        label.resize(self.num_vertices(), u32::MAX);
+        let n = self.num_vertices();
+        let mut label = vec![u32::MAX; n];
         let mut next = 0u32;
-        for start in 0..self.num_vertices() {
+        let mut stack: Vec<u32> = Vec::new();
+        for start in 0..n {
             if label[start] != u32::MAX {
                 continue;
             }
@@ -273,7 +266,7 @@ impl CsrGraph {
             }
             next += 1;
         }
-        next as usize
+        label
     }
 
     /// Number of connected components, via the compact `u32` union-find.
@@ -313,50 +306,25 @@ impl CsrGraph {
     /// component's adjacency is a borrowed slice ([`CsrComponent`]) — no
     /// per-component allocation.
     pub fn partition_components(&self) -> ComponentPartition {
-        let mut part = ComponentPartition::default();
-        self.partition_components_into(&mut part);
-        // A one-off partition keeps no working buffers.
-        part.scratch = PartitionScratch::default();
-        part
-    }
-
-    /// [`partition_components`](Self::partition_components) into `part`,
-    /// reusing its buffers: a caller that partitions one evolving graph
-    /// again and again allocates only when the graph outgrows them.
-    pub fn partition_components_into(&self, part: &mut ComponentPartition) {
-        let ComponentPartition {
-            arena,
-            comp_starts,
-            order,
-            scratch,
-        } = part;
-        let PartitionScratch {
-            labels,
-            new_of,
-            cursor,
-            stack,
-        } = scratch;
         let n = self.num_vertices();
-        let k = self.component_labels_into(labels, stack);
+        let labels = self.component_labels();
+        let k = labels.iter().copied().max().map_or(0, |m| m as usize + 1);
 
         // New order: vertices sorted by (component, old id). Since labels are
         // assigned in order of smallest vertex, a counting pass in old-id
         // order lands every component's vertices ascending — the same local
         // numbering `induced_subgraph` would assign.
-        comp_starts.clear();
-        comp_starts.resize(k + 1, 0);
-        for &l in labels.iter() {
-            comp_starts[l as usize + 1] += 1;
+        let mut comp_sizes = vec![0u32; k];
+        for &l in &labels {
+            comp_sizes[l as usize] += 1;
         }
+        let mut comp_starts = vec![0u32; k + 1];
         for c in 0..k {
-            comp_starts[c + 1] += comp_starts[c];
+            comp_starts[c + 1] = comp_starts[c] + comp_sizes[c];
         }
-        order.clear();
-        order.resize(n, 0); // new position -> old vertex
-        new_of.clear();
-        new_of.resize(n, 0); // old vertex -> new position
-        cursor.clear();
-        cursor.extend_from_slice(&comp_starts[..k]);
+        let mut order = vec![0u32; n]; // new position -> old vertex
+        let mut new_of = vec![0u32; n]; // old vertex -> new position
+        let mut cursor = comp_starts[..k].to_vec();
         for (old, &l) in labels.iter().enumerate() {
             let pos = cursor[l as usize];
             cursor[l as usize] += 1;
@@ -364,26 +332,29 @@ impl CsrGraph {
             new_of[old] = pos;
         }
 
-        arena.offsets.clear();
-        arena.offsets.reserve(n + 1);
-        arena.offsets.push(0);
-        arena.targets.clear();
-        arena.targets.reserve(self.targets.len());
-        for &old in order.iter() {
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(self.targets.len());
+        offsets.push(0u32);
+        for &old in &order {
             // Old rows are sorted by old id; within one component the
             // relabeling is monotone (ascending old ids -> ascending new
             // positions), so the new row stays sorted without a sort.
             for &w in self.neighbors(old as usize) {
-                arena.targets.push(new_of[w as usize]);
+                targets.push(new_of[w as usize]);
             }
-            arena.offsets.push(arena.targets.len() as u32);
+            offsets.push(targets.len() as u32);
+        }
+
+        ComponentPartition {
+            arena: CsrGraph { offsets, targets },
+            comp_starts,
+            order,
         }
     }
 }
 
 /// A component-contiguous relabeling of a [`CsrGraph`]: one shared arena plus
 /// the ranges and the permutation needed to map results back to original ids.
-/// The default is the partition of the empty graph.
 #[derive(Clone, Debug)]
 pub struct ComponentPartition {
     arena: CsrGraph,
@@ -391,31 +362,6 @@ pub struct ComponentPartition {
     comp_starts: Vec<u32>,
     /// New position → original vertex id.
     order: Vec<u32>,
-    /// Working buffers of [`CsrGraph::partition_components_into`].
-    scratch: PartitionScratch,
-}
-
-/// Working buffers of a partition pass, kept for the next pass.
-#[derive(Clone, Debug, Default)]
-struct PartitionScratch {
-    labels: Vec<u32>,
-    new_of: Vec<u32>,
-    cursor: Vec<u32>,
-    stack: Vec<u32>,
-}
-
-impl Default for ComponentPartition {
-    fn default() -> Self {
-        ComponentPartition {
-            arena: CsrGraph {
-                offsets: vec![0],
-                targets: Vec::new(),
-            },
-            comp_starts: vec![0],
-            order: Vec::new(),
-            scratch: PartitionScratch::default(),
-        }
-    }
 }
 
 impl ComponentPartition {
@@ -554,23 +500,6 @@ mod tests {
             assert!(csr.matches_graph(&g));
             assert_eq!(csr.to_graph(), g);
             assert_eq!(csr.edges().collect::<Vec<_>>(), g.edge_vec());
-        }
-    }
-
-    #[test]
-    fn reused_partition_buffers_match_fresh_partitions() {
-        // Shrinking and growing graphs through one partition's buffers.
-        let mut part = ComponentPartition::default();
-        assert_eq!(part.num_components(), 0);
-        for g in sample_graphs().iter().rev().chain(&sample_graphs()) {
-            let csr = CsrGraph::from_graph(g);
-            csr.partition_components_into(&mut part);
-            let fresh = csr.partition_components();
-            assert_eq!(part.arena(), fresh.arena());
-            assert_eq!(part.num_components(), fresh.num_components());
-            for c in 0..fresh.num_components() {
-                assert_eq!(part.component_vertices(c), fresh.component_vertices(c));
-            }
         }
     }
 

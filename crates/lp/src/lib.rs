@@ -27,8 +27,7 @@ pub mod solver;
 pub use combinatorial::CombinatorialSolver;
 pub use cutting_plane::violated_forest_constraints;
 pub use micro::{
-    solve_partition, ClassTable, PartitionSolution, PartitionSolveStats, SolveOptions,
-    MICRO_TINY_VERTICES,
+    solve_partition, ClassTable, PartitionSolution, PartitionSolveStats, MICRO_TINY_VERTICES,
 };
 pub use problem::{LinearProgram, LpError, LpSolution};
 pub use simplex::IncrementalSimplex;

@@ -35,8 +35,7 @@
 //!   the buffers of the generation before, so a long-lived table stops
 //!   allocating. Who keeps a table between evaluations is the caller's
 //!   choice: a stream lineage retains one, a one-shot evaluation drops it.
-//! * [`solve_partition`] — one Δ over a fresh table, with per-edge weights on
-//!   request.
+//! * [`solve_partition`] — one Δ over a fresh table, with per-edge weights.
 //! * **Micro solver** — for trees, unicyclic components and anything with at
 //!   most [`MICRO_TINY_VERTICES`] vertices, a CSR-native replica of the
 //!   general solver's reduction loop (same float operations in the same
@@ -60,27 +59,6 @@ use std::collections::HashMap;
 /// Components with more vertices than this and more than `n` edges are not
 /// micro-eligible (trees and unicyclic components of any size always are).
 pub const MICRO_TINY_VERTICES: usize = 24;
-
-/// Knobs for [`solve_partition`]. Turning `micro` off changes cost only —
-/// never values (the micro solver replicates the general solver
-/// bit-for-bit).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SolveOptions {
-    /// Enable the micro-component fast paths.
-    pub micro: bool,
-    /// Assemble per-edge weights in arena edge order. The family evaluation
-    /// only needs values; skipping assembly saves one `f64` per edge per Δ.
-    pub want_weights: bool,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions {
-            micro: true,
-            want_weights: true,
-        }
-    }
-}
 
 /// Where each component's solution came from, aggregated over one solve of
 /// one Δ.
@@ -106,13 +84,13 @@ pub struct PartitionSolveStats {
     pub class_reuse: usize,
 }
 
-/// Result of one Δ solve: the merged polytope solution (weights in *arena*
-/// edge order when requested, empty otherwise) plus attribution counters.
+/// Result of one Δ solve: the merged polytope solution plus attribution
+/// counters.
 #[derive(Clone, Debug)]
 pub struct PartitionSolution {
-    /// Merged solution; `edge_weights` is indexed like the arena's canonical
-    /// edge order (component-contiguous) and empty unless
-    /// [`SolveOptions::want_weights`] asked for it.
+    /// Merged solution. From [`solve_partition`], `edge_weights` is indexed
+    /// like the arena's canonical edge order (component-contiguous); from
+    /// [`ClassTable::solve`] it is empty.
     pub solution: PolytopeSolution,
     /// Per-path attribution.
     pub stats: PartitionSolveStats,
@@ -152,24 +130,22 @@ impl CompSolution {
 }
 
 /// Solves every component of a partition at one Δ over a fresh
-/// [`ClassTable`] and merges values **in component order** — the exact order
-/// the sequential per-component driver uses — so the result is identical for
-/// every thread budget and for every [`SolveOptions`] combination.
+/// [`ClassTable`], with per-edge weights, and merges values **in component
+/// order** — the exact order the sequential per-component driver uses — so
+/// the result is identical for every thread budget and with `micro` on or
+/// off (the micro solver only changes cost).
 pub fn solve_partition(
     part: &ComponentPartition,
     delta: f64,
     threads: usize,
-    opts: &SolveOptions,
+    micro: bool,
 ) -> Result<PartitionSolution, PolytopeError> {
+    check_delta(delta)?;
     let mut table = ClassTable::new();
     table.rebuild(part);
-    if !opts.want_weights {
-        return table.solve(part, delta, threads, opts.micro);
-    }
-    check_delta(delta)?;
     let live = &table.live;
     let all: Vec<u32> = (0..live.num_classes() as u32).collect();
-    let solved = solve_classes(part, &live.representative, &all, delta, threads, opts.micro)
+    let solved = solve_classes(part, &live.representative, &all, delta, threads, micro)
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
     let values: Vec<ClassValue> = solved.iter().map(ClassValue::from).collect();
@@ -653,10 +629,13 @@ impl From<&CompSolution> for ClassValue {
     }
 }
 
-/// The class values at one Δ.
+/// The class values at one Δ under one micro setting. A value records the
+/// solve path and LP counters of the setting that produced it, so values are
+/// only ever reused under that same setting.
 #[derive(Debug, Default)]
 struct Slot {
     delta: f64,
+    micro: bool,
     values: Vec<ClassValue>,
 }
 
@@ -723,15 +702,15 @@ impl Generation {
         None
     }
 
-    fn slot(&self, delta: f64) -> Option<usize> {
+    fn slot(&self, delta: f64, micro: bool) -> Option<usize> {
         self.slots[..self.used]
             .iter()
-            .position(|s| s.delta == delta)
+            .position(|s| s.delta == delta && s.micro == micro)
     }
 
-    /// The slot of `delta`, opened with every class unsolved if new.
-    fn open_slot(&mut self, delta: f64) -> usize {
-        if let Some(i) = self.slot(delta) {
+    /// The slot of `(delta, micro)`, opened with every class unsolved if new.
+    fn open_slot(&mut self, delta: f64, micro: bool) -> usize {
+        if let Some(i) = self.slot(delta, micro) {
             return i;
         }
         if self.used == self.slots.len() {
@@ -740,6 +719,7 @@ impl Generation {
         let classes = self.num_classes();
         let slot = &mut self.slots[self.used];
         slot.delta = delta;
+        slot.micro = micro;
         slot.values.clear();
         slot.values.resize(classes, ClassValue::UNSOLVED);
         self.used += 1;
@@ -828,9 +808,9 @@ impl ClassTable {
 
     /// Solves the rebuilt partition at `delta` and merges the class values
     /// in component order, without weights. A class already valued at
-    /// `delta` — in this table, or in the previous rebuild's under an equal
-    /// key — is not solved again; the rest are solved once each on up to
-    /// `threads` workers.
+    /// `delta` with the same `micro` setting — in this table, or in the
+    /// previous rebuild's under an equal key — is not solved again; the rest
+    /// are solved once each on up to `threads` workers.
     pub fn solve(
         &mut self,
         part: &ComponentPartition,
@@ -839,10 +819,10 @@ impl ClassTable {
         micro: bool,
     ) -> Result<PartitionSolution, PolytopeError> {
         check_delta(delta)?;
-        let slot = self.live.open_slot(delta);
+        let slot = self.live.open_slot(delta, micro);
         let carried = self
             .previous
-            .slot(delta)
+            .slot(delta, micro)
             .map(|i| &self.previous.slots[i].values[..]);
         let Generation {
             representative,
@@ -943,9 +923,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn partition_value(g: &Graph, delta: f64, opts: &SolveOptions) -> PartitionSolution {
+    fn partition_value(g: &Graph, delta: f64, micro: bool) -> PartitionSolution {
         let part = CsrGraph::from_graph(g).partition_components();
-        solve_partition(&part, delta, 1, opts).unwrap()
+        solve_partition(&part, delta, 1, micro).unwrap()
     }
 
     fn general_value(g: &Graph, delta: f64) -> PolytopeSolution {
@@ -978,18 +958,12 @@ mod tests {
         for g in &graphs {
             for delta in [1.0, 2.0, 3.0, 4.0] {
                 let reference = general_value(g, delta);
-                for opts in [
-                    SolveOptions::default(),
-                    SolveOptions {
-                        micro: false,
-                        want_weights: true,
-                    },
-                ] {
-                    let got = partition_value(g, delta, &opts);
+                for micro in [true, false] {
+                    let got = partition_value(g, delta, micro);
                     assert_eq!(
                         reference.value.to_bits(),
                         got.solution.value.to_bits(),
-                        "value mismatch (delta={delta}, opts={opts:?})"
+                        "value mismatch (delta={delta}, micro={micro})"
                     );
                     // The partition may permute edges across components, but
                     // every component is solved with identical local labels,
@@ -1004,7 +978,7 @@ mod tests {
                         .collect();
                     want.sort_unstable();
                     have.sort_unstable();
-                    assert_eq!(want, have, "weight multiset (delta={delta}, opts={opts:?})");
+                    assert_eq!(want, have, "weight multiset (delta={delta}, micro={micro})");
                 }
             }
         }
@@ -1017,7 +991,7 @@ mod tests {
             let g = generators::erdos_renyi(60, 1.4 / 60.0, &mut rng);
             for delta in [1.0, 2.0, 3.0] {
                 let reference = general_value(&g, delta);
-                let got = partition_value(&g, delta, &SolveOptions::default());
+                let got = partition_value(&g, delta, true);
                 assert_eq!(
                     reference.value.to_bits(),
                     got.solution.value.to_bits(),
@@ -1038,7 +1012,7 @@ mod tests {
             g.add_edge(b + 1, b + 2);
             g.add_edge(b, b + 2);
         }
-        let got = partition_value(&g, 1.0, &SolveOptions::default());
+        let got = partition_value(&g, 1.0, true);
         assert_eq!(got.stats.dedup_classes, 1);
         assert_eq!(got.stats.dedup_hits, 49);
         let reference = general_value(&g, 1.0);
@@ -1055,7 +1029,7 @@ mod tests {
         g.add_edge(0, 2);
         g.add_edge(3, 4);
         g.add_edge(4, 5);
-        let got = partition_value(&g, 2.0, &SolveOptions::default());
+        let got = partition_value(&g, 2.0, true);
         assert_eq!(got.stats.dedup_classes, 2);
         assert_eq!(got.stats.dedup_hits, 0);
     }
@@ -1074,15 +1048,12 @@ mod tests {
         g
     }
 
-    fn solve_fresh(g: &Graph, delta: f64) -> PartitionSolution {
-        partition_value(
-            g,
-            delta,
-            &SolveOptions {
-                want_weights: false,
-                ..SolveOptions::default()
-            },
-        )
+    /// A value-only solve over a fresh table, as a family evaluation does.
+    fn solve_fresh(g: &Graph, delta: f64, micro: bool) -> PartitionSolution {
+        let part = CsrGraph::from_graph(g).partition_components();
+        let mut table = ClassTable::new();
+        table.rebuild(&part);
+        table.solve(&part, delta, 1, micro).unwrap()
     }
 
     #[test]
@@ -1099,7 +1070,7 @@ mod tests {
             // The 5-cycle class carries over; the path is new.
             assert_eq!(got.stats.class_reuse, reused);
             assert_eq!(got.stats.dedup_hits, 1);
-            let fresh = solve_fresh(g, 1.0);
+            let fresh = solve_fresh(g, 1.0, true);
             assert_eq!(got.solution.value.to_bits(), fresh.solution.value.to_bits());
             assert_eq!(got.solution.lp_solves, fresh.solution.lp_solves);
             // A second solve at the same Δ solves and reuses nothing.
@@ -1117,8 +1088,20 @@ mod tests {
         assert_eq!(got.stats.class_reuse, 0);
         assert_eq!(
             got.solution.value.to_bits(),
-            solve_fresh(&after, 2.0).solution.value.to_bits()
+            solve_fresh(&after, 2.0, true).solution.value.to_bits()
         );
+        // Values carry over only under the micro setting that produced them,
+        // so a solve reports the paths and LP counters of its own setting.
+        let off = table.solve(&part, 1.0, 1, false).unwrap();
+        let fresh_off = solve_fresh(&after, 1.0, false);
+        assert_eq!(off.stats, fresh_off.stats);
+        assert_eq!(off.solution.lp_solves, fresh_off.solution.lp_solves);
+        assert_eq!(
+            off.solution.value.to_bits(),
+            fresh_off.solution.value.to_bits()
+        );
+        let on = table.solve(&part, 1.0, 1, true).unwrap();
+        assert_eq!(on.stats.class_reuse, 2);
     }
 
     #[test]
@@ -1139,7 +1122,7 @@ mod tests {
             // Only the star is an equal key; the path collides with the
             // triangle's hash but is solved, never handed its value.
             assert_eq!(got.stats.class_reuse, reused);
-            let fresh = solve_fresh(g, 1.0);
+            let fresh = solve_fresh(g, 1.0, true);
             assert_eq!(got.solution.value.to_bits(), fresh.solution.value.to_bits());
         }
     }
@@ -1150,9 +1133,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let g = generators::erdos_renyi(20_000, 1.05 / 20_000.0, &mut rng);
         let part = CsrGraph::from_graph(&g).partition_components();
-        let seq = solve_partition(&part, 1.0, 1, &SolveOptions::default()).unwrap();
+        let seq = solve_partition(&part, 1.0, 1, true).unwrap();
         for threads in [2, 4, 8] {
-            let par = solve_partition(&part, 1.0, threads, &SolveOptions::default()).unwrap();
+            let par = solve_partition(&part, 1.0, threads, true).unwrap();
             assert_eq!(
                 seq.solution.value.to_bits(),
                 par.solution.value.to_bits(),
@@ -1178,17 +1161,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let g = generators::erdos_renyi(200, 1.2 / 200.0, &mut rng);
         let part = CsrGraph::from_graph(&g).partition_components();
-        let with = solve_partition(&part, 2.0, 1, &SolveOptions::default()).unwrap();
-        let without = solve_partition(
-            &part,
-            2.0,
-            1,
-            &SolveOptions {
-                want_weights: false,
-                ..SolveOptions::default()
-            },
-        )
-        .unwrap();
+        let with = solve_partition(&part, 2.0, 1, true).unwrap();
+        let without = solve_fresh(&g, 2.0, true);
         assert_eq!(
             with.solution.value.to_bits(),
             without.solution.value.to_bits()
@@ -1204,9 +1178,7 @@ mod tests {
             for delta in 1..=4usize {
                 let oracle = cycle_polytope_value(&vec![delta; k]);
                 let general = general_value(&g, delta as f64).value;
-                let micro = partition_value(&g, delta as f64, &SolveOptions::default())
-                    .solution
-                    .value;
+                let micro = partition_value(&g, delta as f64, true).solution.value;
                 assert!(
                     (general - oracle).abs() < 1e-6,
                     "general C_{k} Δ={delta}: {general} vs oracle {oracle}"
@@ -1229,7 +1201,7 @@ mod tests {
     fn invalid_delta_is_rejected() {
         let part = CsrGraph::from_graph(&generators::path(4)).partition_components();
         assert!(matches!(
-            solve_partition(&part, 0.0, 1, &SolveOptions::default()),
+            solve_partition(&part, 0.0, 1, true),
             Err(PolytopeError::InvalidDelta { .. })
         ));
     }

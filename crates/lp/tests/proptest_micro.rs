@@ -1,11 +1,11 @@
 //! Property tests for the micro-component fast paths: on every generator
-//! family, every Δ in the small grid, every toggle combination and thread
+//! family, every Δ in the small grid, micro on or off and every thread
 //! budget, `solve_partition` must return the exact bits of the general
 //! combinatorial path — micro closed forms and the class table's shared
 //! solves are pure work-savers, never value-changers.
 
 use ccdp_graph::{generators, CsrGraph, Graph};
-use ccdp_lp::{solve_partition, CombinatorialSolver, PolytopeSolver, SolveOptions};
+use ccdp_lp::{solve_partition, CombinatorialSolver, PolytopeSolver};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,13 +32,6 @@ fn family_graph(family: u8, n: usize, seed: u64) -> Graph {
     }
 }
 
-fn options(micro: bool) -> SolveOptions {
-    SolveOptions {
-        micro,
-        want_weights: true,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -57,10 +50,10 @@ proptest! {
         let part = arena.partition_components();
         let delta = delta as f64;
 
-        let base = solve_partition(&part, delta, 1, &options(false)).unwrap();
+        let base = solve_partition(&part, delta, 1, false).unwrap();
         for micro in [true, false] {
             for threads in [1usize, 3] {
-                let fast = solve_partition(&part, delta, threads, &options(micro)).unwrap();
+                let fast = solve_partition(&part, delta, threads, micro).unwrap();
                 prop_assert_eq!(
                     base.solution.value.to_bits(),
                     fast.solution.value.to_bits(),
@@ -117,7 +110,7 @@ proptest! {
         }
         let solve = |g: &Graph| {
             let part = CsrGraph::from_graph(g).partition_components();
-            solve_partition(&part, delta as f64, 1, &options(true)).unwrap()
+            solve_partition(&part, delta as f64, 1, true).unwrap()
         };
         let union = solve(&g);
         let general = CombinatorialSolver::new().solve(&g, delta as f64).unwrap();

@@ -2,7 +2,8 @@
 //! snapshot before, and that reuse never changes a family value. Each
 //! release's family must equal, bit for bit and path for path, a fresh
 //! evaluation of the same snapshot with no prior table — across merges,
-//! splits, vertex growth and a Δmax change between releases. Also pinned
+//! splits, vertex growth, a Δmax change and a micro on/off switch between
+//! releases, LP counters included. Also pinned
 //! here: the table's lifetime (the stream owns it; a published snapshot or an
 //! ingested graph keeps none alive) and the cache accounting of stream
 //! releases (one miss, no hit each).
@@ -53,6 +54,19 @@ fn assert_family_matches_fresh(
             w.value
         );
         prop_assert_eq!(e.path, w.path);
+        // Carried values report the work of the setting that solved them:
+        // it must be the work a fresh solve under this setting reports.
+        let work = |e: &ccdp_core::ExtensionEvaluation| {
+            e.lp.as_ref().map(|lp| {
+                (
+                    lp.lp_solves,
+                    lp.lp_iterations,
+                    lp.generated_cuts,
+                    lp.lp_fallback_components,
+                )
+            })
+        };
+        prop_assert_eq!(work(e), work(w), "Δ={}", e.delta);
     }
     Ok(())
 }
@@ -70,7 +84,7 @@ proptest! {
     fn lineage_releases_equal_fresh_evaluations(
         seed in 0u64..1 << 32,
         n0 in 6usize..30,
-        releases in vec((vec(edit(), 1..12), 1usize..=3, 1usize..=3), 2..8),
+        releases in vec((vec(edit(), 1..12), 1usize..=3, 1usize..=3, any::<bool>()), 2..8),
     ) {
         // Sparse start: many small trees and a few cycles, so edits merge
         // and split components and many classes survive each release.
@@ -78,7 +92,7 @@ proptest! {
         let initial = generators::erdos_renyi(n0, 1.3 / n0 as f64, &mut rng);
         let mut stream = GraphStream::from_graph("prop-lineage", initial);
         let mut time = 0;
-        for (edits, delta_exp, threads) in &releases {
+        for (edits, delta_exp, threads, micro) in &releases {
             for &(u, v, delete) in edits {
                 if u == v {
                     continue;
@@ -94,8 +108,9 @@ proptest! {
             }
             let snap = stream.snapshot();
             prop_assert!(snap.prepared().lineage().is_some());
-            // Δmax moves between 2, 4 and 8 from one release to the next.
-            let options = FamilyOptions { micro: true, threads: *threads };
+            // Δmax moves between 2, 4 and 8 and the micro solver switches on
+            // and off from one release to the next.
+            let options = FamilyOptions { micro: *micro, threads: *threads };
             assert_family_matches_fresh(snap.prepared(), &grid(1 << delta_exp), &options, None)?;
         }
     }
@@ -145,6 +160,36 @@ fn a_release_after_a_few_edits_reuses_every_unchanged_class() {
     // Only the split component's class and the new edge's are new; the four
     // labelings of a pendant 5-cycle carry over.
     assert_eq!((classes, reused), (6, 4));
+}
+
+#[test]
+fn a_micro_switch_between_releases_solves_instead_of_reusing() {
+    let mut stream = GraphStream::from_graph("switch", cycles_with_pendants(40));
+    let grid = [1];
+    let on = FamilyOptions::default();
+    let off = FamilyOptions { micro: false, ..on };
+    evaluate_family(stream.snapshot().prepared(), &grid, &on, None).unwrap();
+    stream.apply(&Mutation::insert(1, 400, 401)).unwrap();
+    let profiler = PhaseProfiler::new();
+    let snap = stream.snapshot();
+    assert_family_matches_fresh(snap.prepared(), &grid, &off, Some(&profiler)).unwrap();
+    let report = profiler.report_sorted();
+    let count = |name: &str| {
+        report
+            .iter()
+            .find(|p| p.name == name)
+            .map_or(0, |p| p.count)
+    };
+    // Every class is solved again, by the general solver this time.
+    assert_eq!(count("solve/class-reuse"), 0);
+    assert_eq!(
+        count("solve/micro-closed-form") + count("solve/micro-reduced"),
+        0
+    );
+    assert_eq!(
+        count("solve/general-fallback"),
+        count("solve/dedup-classes")
+    );
 }
 
 #[test]
