@@ -227,6 +227,59 @@ impl CsrGraph {
         })
     }
 
+    /// The edges to toggle to turn `self` into `other`, found by merging the
+    /// sorted rows in O(n + m). Two snapshots of one evolving graph differ by
+    /// its few edits, so a retained older snapshot can be kept as the delta
+    /// that restores it from a newer one ([`patched`](Self::patched)).
+    pub fn diff(&self, other: &CsrGraph) -> EdgeDelta {
+        let mut toggled = Vec::new();
+        for u in 0..self.num_vertices().max(other.num_vertices()) {
+            symmetric_difference(self.row(u), other.row(u), |w| {
+                if u < w as usize {
+                    toggled.push((u as u32, w));
+                }
+            });
+        }
+        EdgeDelta {
+            num_vertices: other.num_vertices(),
+            toggled,
+        }
+    }
+
+    /// The graph `delta` leads to: `self` with the delta's edges toggled, on
+    /// the delta's vertex count, so `a.patched(&a.diff(&b)) == b`. O(n + m)
+    /// plus sorting the delta.
+    pub fn patched(&self, delta: &EdgeDelta) -> CsrGraph {
+        let n = delta.num_vertices;
+        let mut half: Vec<(u32, u32)> = delta
+            .toggled
+            .iter()
+            .flat_map(|&(u, v)| [(u, v), (v, u)])
+            .collect();
+        half.sort_unstable();
+        let toggles: Vec<u32> = half.iter().map(|&(_, w)| w).collect();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(self.targets.len() + toggles.len());
+        offsets.push(0u32);
+        let mut start = 0;
+        for u in 0..n {
+            let end = start + half[start..].partition_point(|&(a, _)| a as usize == u);
+            symmetric_difference(self.row(u), &toggles[start..end], |w| targets.push(w));
+            offsets.push(targets.len() as u32);
+            start = end;
+        }
+        CsrGraph { offsets, targets }
+    }
+
+    /// The neighbors of `v`, empty past the last vertex.
+    fn row(&self, v: usize) -> &[u32] {
+        if v < self.num_vertices() {
+            self.neighbors(v)
+        } else {
+            &[]
+        }
+    }
+
     /// A 128-bit structural fingerprint (FNV-1a over the offset and target
     /// arrays), streamed with zero allocation. Used by cache keys: two equal
     /// graphs always fingerprint equally; collisions between distinct graphs
@@ -351,6 +404,49 @@ impl CsrGraph {
             order,
         }
     }
+}
+
+/// How one arena differs from another ([`CsrGraph::diff`]): the vertex count
+/// it leads to and the edges to toggle, `(u, v)` with `u < v`, ascending.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EdgeDelta {
+    num_vertices: usize,
+    toggled: Vec<(u32, u32)>,
+}
+
+impl EdgeDelta {
+    /// Number of edges toggled.
+    pub fn len(&self) -> usize {
+        self.toggled.len()
+    }
+
+    /// `true` if no edge is toggled (the vertex counts may still differ).
+    pub fn is_empty(&self) -> bool {
+        self.toggled.is_empty()
+    }
+}
+
+/// Calls `emit` on every value in exactly one of two ascending slices, in
+/// ascending order.
+fn symmetric_difference(a: &[u32], b: &[u32], mut emit: impl FnMut(u32)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                emit(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                emit(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    a[i..].iter().chain(&b[j..]).for_each(|&w| emit(w));
 }
 
 /// A component-contiguous relabeling of a [`CsrGraph`]: one shared arena plus
@@ -501,6 +597,39 @@ mod tests {
             assert_eq!(csr.to_graph(), g);
             assert_eq!(csr.edges().collect::<Vec<_>>(), g.edge_vec());
         }
+    }
+
+    #[test]
+    fn patching_a_diff_restores_the_other_arena() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut graphs = sample_graphs();
+        // Pairs that differ by a few edits, by growth and by shrinkage.
+        let base = generators::erdos_renyi(40, 0.06, &mut rng);
+        let mut edited = base.clone();
+        let (u, v) = base.edges().next().unwrap();
+        edited.remove_edge(u, v);
+        edited.add_edge(0, 39);
+        while edited.num_vertices() < 45 {
+            edited.add_vertex();
+        }
+        edited.add_edge(42, 3);
+        graphs.extend([base, edited]);
+        for a in &graphs {
+            for b in &graphs {
+                let (a, b) = (CsrGraph::from_graph(a), CsrGraph::from_graph(b));
+                let delta = a.diff(&b);
+                assert_eq!(a.patched(&delta), b);
+                if a == b {
+                    assert!(delta.is_empty());
+                }
+            }
+        }
+        let (a, b) = (
+            CsrGraph::from_graph(&graphs[graphs.len() - 2]),
+            CsrGraph::from_graph(&graphs[graphs.len() - 1]),
+        );
+        // Two inserts (one to a new vertex) and one delete.
+        assert_eq!(a.diff(&b).len(), 3);
     }
 
     #[test]

@@ -145,9 +145,17 @@ pub fn solve_partition(
     table.rebuild(part);
     let live = &table.live;
     let all: Vec<u32> = (0..live.num_classes() as u32).collect();
-    let solved = solve_classes(part, &live.representative, &all, delta, threads, micro)
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+    let solved = solve_classes(
+        part,
+        &live.representative,
+        &all,
+        delta,
+        threads,
+        micro,
+        |s| s,
+    )
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     let values: Vec<ClassValue> = solved.iter().map(ClassValue::from).collect();
     let mut out = merge(&live.comp_class, &values, 0);
     // Components are edge-contiguous in the arena, so each one's weights go
@@ -180,23 +188,24 @@ fn check_delta(delta: f64) -> Result<(), PolytopeError> {
 const CHUNKS_PER_WORKER: usize = 8;
 
 /// Solves `classes` at `delta`, each through its representative component,
-/// returning results in the order given. The fan-out splits the list into
-/// contiguous chunks, each with its own scratch, so no lock is taken per
-/// class.
-fn solve_classes(
+/// and returns what `keep` takes from each solution, in the order given. The
+/// fan-out splits the list into contiguous chunks, each with its own
+/// scratch, so no lock is taken per class.
+fn solve_classes<T: Send>(
     part: &ComponentPartition,
     representative: &[u32],
     classes: &[u32],
     delta: f64,
     threads: usize,
     micro: bool,
-) -> Vec<Result<CompSolution, PolytopeError>> {
+    keep: impl Fn(CompSolution) -> T + Sync,
+) -> Vec<Result<T, PolytopeError>> {
     let view = |c: u32| part.component(representative[c as usize] as usize);
     let solve_chunk = |chunk: &[u32]| {
         let mut scratch = MicroScratch::default();
         chunk
             .iter()
-            .map(|&c| solve_component_dispatch(&view(c), delta, micro, &mut scratch))
+            .map(|&c| solve_component_dispatch(&view(c), delta, micro, &mut scratch).map(&keep))
             .collect::<Vec<_>>()
     };
     let work = classes
@@ -849,9 +858,13 @@ impl ClassTable {
                 None => pending.push(class as u32),
             }
         }
-        let solved = solve_classes(part, representative, &pending, delta, threads, micro);
-        for (&class, sol) in pending.iter().zip(solved) {
-            values[class as usize] = ClassValue::from(&sol?);
+        // Keep only the values: a class's weights are dropped as soon as it
+        // is solved.
+        let solved = solve_classes(part, representative, &pending, delta, threads, micro, |s| {
+            ClassValue::from(&s)
+        });
+        for (&class, value) in pending.iter().zip(solved) {
+            values[class as usize] = value?;
         }
         Ok(merge(comp_class, values, reused))
     }

@@ -17,9 +17,18 @@
 //! frontier. Publishing the same `(id, version)` twice is a typed
 //! [`ServeError::VersionExists`] refusal — snapshots are immutable, so
 //! re-publishing could only mean two different graphs claiming one identity.
+//!
+//! The latest version of an id is always stored as its prepared snapshot.
+//! A publisher whose versions are successive edits of one graph (a stream)
+//! can ask for the version below the latest to be
+//! [compacted](GraphRegistry::compact_previous): it is then kept as the
+//! [`EdgeDelta`] that restores it from the next newer version, so a retained
+//! history costs O(edits) per older version instead of a full arena.
+//! Resolving a compacted version rebuilds and prepares it again (O(n + m));
+//! it equals the published snapshot but is a new handle, not the same one.
 
 use crate::error::ServeError;
-use ccdp_graph::{io, GraphVersion, PreparedGraph};
+use ccdp_graph::{io, EdgeDelta, GraphVersion, PreparedGraph};
 use ccdp_obs::{AuditEvent, AuditJournal, AuditKind};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -39,8 +48,74 @@ pub const DEFAULT_VERSION_RETENTION: usize = 8;
 
 /// The version history of one catalog id. The `BTreeMap` keeps versions
 /// ordered, so the latest pointer is the last key and range expiry is a
-/// split.
-type History = BTreeMap<GraphVersion, PreparedGraph>;
+/// split. The latest version is always [`Stored::Prepared`].
+type History = BTreeMap<GraphVersion, Stored>;
+
+/// One retained version.
+#[derive(Debug)]
+enum Stored {
+    /// The snapshot as published.
+    Prepared(PreparedGraph),
+    /// The edges that turn version `newer`'s arena into this version's.
+    Delta {
+        newer: GraphVersion,
+        delta: EdgeDelta,
+    },
+}
+
+impl Stored {
+    fn prepared(&self) -> &PreparedGraph {
+        match self {
+            Stored::Prepared(g) => g,
+            Stored::Delta { .. } => unreachable!("the latest version is always prepared"),
+        }
+    }
+}
+
+/// A version is compacted only when its delta has at most `(n + m) / 8`
+/// edges, i.e. costs well under a tenth of its arena.
+const COMPACT_DIVISOR: usize = 8;
+
+/// The snapshot of `version`, rebuilt from the next prepared version along
+/// its delta chain if it is compacted.
+fn materialize(history: &History, version: GraphVersion) -> Option<PreparedGraph> {
+    let mut deltas = Vec::new();
+    let mut at = version;
+    let base = loop {
+        match history.get(&at)? {
+            Stored::Prepared(g) => break g,
+            Stored::Delta { newer, delta } => {
+                deltas.push(delta);
+                at = *newer;
+            }
+        }
+    };
+    let Some((first, rest)) = deltas.split_last() else {
+        return Some(base.clone());
+    };
+    let csr = rest
+        .iter()
+        .rev()
+        .fold(base.csr().patched(first), |csr, delta| csr.patched(delta));
+    Some(PreparedGraph::new(csr))
+}
+
+/// Removes `version` from `history`, first storing any version compacted
+/// against it as a prepared snapshot again.
+fn remove_stored(history: &mut History, version: GraphVersion) -> Option<PreparedGraph> {
+    let dependents: Vec<GraphVersion> = history
+        .iter()
+        .filter(|(_, s)| matches!(s, Stored::Delta { newer, .. } if *newer == version))
+        .map(|(&v, _)| v)
+        .collect();
+    for v in dependents {
+        let restored = materialize(history, v).expect("a dependent's chain is intact");
+        history.insert(v, Stored::Prepared(restored));
+    }
+    let removed = materialize(history, version);
+    history.remove(&version);
+    removed
+}
 
 type Shard = HashMap<GraphId, History>;
 
@@ -156,8 +231,8 @@ impl GraphRegistry {
         let mut shard = self.write(&id);
         let history = shard.entry(id.clone()).or_default();
         let version = next_version(history);
-        let previous = history.last_key_value().map(|(_, g)| g.clone());
-        history.insert(version, graph);
+        let previous = history.last_key_value().map(|(_, g)| g.prepared().clone());
+        history.insert(version, Stored::Prepared(graph));
         enforce_retention(history, self.retention);
         drop(shard);
         self.audit_publish(&id, version, "published as next version");
@@ -199,7 +274,7 @@ impl GraphRegistry {
                 }
             }
         }
-        history.insert(version, graph.clone());
+        history.insert(version, Stored::Prepared(graph.clone()));
         enforce_retention(history, self.retention);
         drop(shard);
         self.audit_publish(&id, version, "published at explicit version");
@@ -239,12 +314,13 @@ impl GraphRegistry {
         self.read(id)
             .get(id)
             .and_then(|h| h.last_key_value())
-            .map(|(_, g)| g.clone())
+            .map(|(_, g)| g.prepared().clone())
     }
 
-    /// The snapshot stored under `(id, version)`, if any.
+    /// The snapshot stored under `(id, version)`, if any (rebuilt if
+    /// compacted).
     pub fn get_version(&self, id: &GraphId, version: GraphVersion) -> Option<PreparedGraph> {
-        self.read(id).get(id).and_then(|h| h.get(&version)).cloned()
+        materialize(self.read(id).get(id)?, version)
     }
 
     /// The latest published version of `id`, if any.
@@ -277,13 +353,14 @@ impl GraphRegistry {
         self.read(id)
             .get(id)
             .and_then(|h| h.last_key_value())
-            .map(|(&v, g)| (v, g.clone()))
+            .map(|(&v, g)| (v, g.prepared().clone()))
             .ok_or_else(|| ServeError::UnknownGraph { graph: id.clone() })
     }
 
     /// Resolves the exact `(id, version)` snapshot, distinguishing an unknown
     /// id ([`ServeError::UnknownGraph`]) from a known id whose requested
     /// version is unpublished or expired ([`ServeError::UnknownVersion`]).
+    /// A compacted version is rebuilt and prepared on each call.
     pub fn resolve_version(
         &self,
         id: &GraphId,
@@ -293,13 +370,10 @@ impl GraphRegistry {
         let history = shard
             .get(id)
             .ok_or_else(|| ServeError::UnknownGraph { graph: id.clone() })?;
-        history
-            .get(&version)
-            .cloned()
-            .ok_or_else(|| ServeError::UnknownVersion {
-                graph: id.clone(),
-                version,
-            })
+        materialize(history, version).ok_or_else(|| ServeError::UnknownVersion {
+            graph: id.clone(),
+            version,
+        })
     }
 
     /// Expires every snapshot of `id` with a version strictly below
@@ -351,7 +425,7 @@ impl GraphRegistry {
     pub fn remove_version(&self, id: &GraphId, version: GraphVersion) -> Option<PreparedGraph> {
         let mut shard = self.write(id);
         let history = shard.get_mut(id)?;
-        let removed = history.remove(&version);
+        let removed = remove_stored(history, version);
         if history.is_empty() {
             shard.remove(id);
         }
@@ -364,6 +438,38 @@ impl GraphRegistry {
         self.write(id)
             .remove(id)
             .and_then(|h| h.into_values().next_back())
+            .map(|g| g.prepared().clone())
+    }
+
+    /// Stores the version just below the latest of `id` as the
+    /// [`EdgeDelta`] that restores it from the latest, if that delta has at
+    /// most `(n + m) / 8` edges; returns whether it did. Meant for a
+    /// publisher whose versions are successive edits of one graph: after
+    /// each publish, the superseded version then costs O(edits) for as long
+    /// as it is retained. Handles to it that were already resolved stay
+    /// valid; the registry just stops holding its arena.
+    pub fn compact_previous(&self, id: &GraphId) -> bool {
+        let mut shard = self.write(id);
+        let Some(history) = shard.get_mut(id) else {
+            return false;
+        };
+        let mut newest_first = history.iter_mut().rev();
+        let (Some((&latest, newer)), Some((_, older))) = (newest_first.next(), newest_first.next())
+        else {
+            return false;
+        };
+        let Stored::Prepared(old) = older else {
+            return false;
+        };
+        let delta = newer.prepared().csr().diff(old.csr());
+        if delta.len() > (old.num_vertices() + old.num_edges()) / COMPACT_DIVISOR {
+            return false;
+        }
+        *older = Stored::Delta {
+            newer: latest,
+            delta,
+        };
+        true
     }
 
     /// Number of catalog ids across all shards (not versions; see
@@ -624,6 +730,80 @@ mod tests {
         assert_eq!(reg.evict_versions_below(&id, GraphVersion::new(100)), 1);
         assert_eq!(reg.versions(&id), vec![GraphVersion::new(4)]);
         assert_eq!(reg.latest_version(&id), Some(GraphVersion::new(4)));
+    }
+
+    /// Six versions of one evolving graph: a few edits apart, with growth.
+    fn edited_versions() -> Vec<PreparedGraph> {
+        let mut g = generators::caveman(6, 5);
+        let mut out = vec![PreparedGraph::from(&g)];
+        for step in 0..5 {
+            g.add_edge(step, 29 - step);
+            g.remove_edge(5 * step + 1, 5 * step + 2);
+            if step % 2 == 0 {
+                let v = g.add_vertex();
+                g.add_edge(v, step);
+            }
+            out.push(PreparedGraph::from(&g));
+        }
+        out
+    }
+
+    fn assert_same_graph(got: &PreparedGraph, want: &PreparedGraph) {
+        assert_eq!(got.csr(), want.csr());
+        assert_eq!(got.fingerprint(), want.fingerprint());
+        assert_eq!(got.spanning_forest_size(), want.spanning_forest_size());
+    }
+
+    #[test]
+    fn compacted_versions_resolve_to_their_published_arenas() {
+        let reg = GraphRegistry::new();
+        let id = GraphId::new("evolving");
+        let versions = edited_versions();
+        for (v, g) in versions.iter().enumerate() {
+            reg.insert_version(id.clone(), GraphVersion::new(v as u64), g.clone())
+                .unwrap();
+            assert_eq!(reg.compact_previous(&id), v > 0, "version {v}");
+            // Already compacted: nothing more to do.
+            assert!(!reg.compact_previous(&id));
+        }
+        let latest = GraphVersion::new(5);
+        assert!(reg.get(&id).unwrap().same_snapshot(&versions[5]));
+        for (v, g) in versions.iter().enumerate() {
+            let version = GraphVersion::new(v as u64);
+            assert_same_graph(&reg.resolve_version(&id, version).unwrap(), g);
+            assert_same_graph(&reg.get_version(&id, version).unwrap(), g);
+        }
+        // Unpublishing the latest restores the version compacted against it.
+        assert_same_graph(&reg.remove_version(&id, latest).unwrap(), &versions[5]);
+        assert_same_graph(&reg.get(&id).unwrap(), &versions[4]);
+        // Removing a middle version keeps the older chain resolvable.
+        assert_same_graph(
+            &reg.remove_version(&id, GraphVersion::new(2)).unwrap(),
+            &versions[2],
+        );
+        for v in [0, 1, 3, 4] {
+            assert_same_graph(
+                &reg.resolve_version(&id, GraphVersion::new(v)).unwrap(),
+                &versions[v as usize],
+            );
+        }
+        assert_eq!(reg.retain_latest(&id, 2), 2);
+        assert_same_graph(
+            &reg.resolve_version(&id, GraphVersion::new(3)).unwrap(),
+            &versions[3],
+        );
+        assert!(reg.resolve_version(&id, GraphVersion::new(1)).is_err());
+    }
+
+    #[test]
+    fn unrelated_versions_are_not_compacted() {
+        let reg = GraphRegistry::new();
+        let id = GraphId::new("g");
+        reg.insert(id.clone(), generators::caveman(6, 5));
+        assert!(!reg.compact_previous(&id), "a single version");
+        reg.insert(id.clone(), generators::star(30));
+        assert!(!reg.compact_previous(&id), "the delta is most of the graph");
+        assert!(!reg.compact_previous(&GraphId::new("missing")));
     }
 
     #[test]

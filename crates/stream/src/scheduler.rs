@@ -18,8 +18,11 @@
 //!    [`VersionExists`](ccdp_serve::ServeError::VersionExists) refusal if the
 //!    version was somehow already taken — snapshots are never overwritten),
 //! 3. bulk-invalidate the superseded versions' extension families from the
-//!    shared [`ExtensionCache`] and expire stale registry snapshots beyond
-//!    the configured retention,
+//!    shared [`ExtensionCache`], expire stale registry snapshots beyond
+//!    the configured retention, and keep the version just superseded as the
+//!    edits that restore it from the new one
+//!    ([`GraphRegistry::compact_previous`]), so retained history costs
+//!    O(edits) per version rather than a full arena,
 //! 4. estimate on the *registry-resolved* snapshot — the graph served is
 //!    provably the one named by `(id, version)` — with cache lookups tagged
 //!    by that same pair, so no family computed for another version can ever
@@ -408,6 +411,9 @@ impl ReleaseScheduler {
                 .registry
                 .retain_latest(&id, self.config.retain_versions);
         }
+        // The superseded version differs from this one by the stream's edits
+        // since: retain it as those edits, not as a second arena.
+        self.registry.compact_previous(&id);
         if invalidated > 0 || expired > 0 {
             self.audit(
                 AuditEvent::new(AuditKind::CacheInvalidation)
@@ -526,6 +532,9 @@ impl ReleaseScheduler {
                 .registry
                 .retain_latest(&id, self.config.retain_versions);
         }
+        // The superseded version differs from this one by the stream's edits
+        // since: retain it as those edits, not as a second arena.
+        self.registry.compact_previous(&id);
         if invalidated > 0 || expired > 0 {
             self.audit(
                 AuditEvent::new(AuditKind::CacheInvalidation)

@@ -275,3 +275,51 @@ fn stream_releases_miss_once_each_and_never_hit() {
     let reused: f64 = reuse_line.rsplit(' ').next().unwrap().parse().unwrap();
     assert!(reused > 0.0, "{reuse_line}");
 }
+
+#[test]
+fn retained_stream_versions_are_kept_as_edits_and_resolve_exactly() {
+    let registry = Arc::new(GraphRegistry::new());
+    let ledger = Arc::new(BudgetLedger::new());
+    ledger.register("owner", 1e6).unwrap();
+    let server = Arc::new(Server::start(
+        ServeConfig::new().with_workers(2).with_delta_max(8),
+        Arc::clone(&registry),
+        ledger,
+    ));
+    let scheduler = ReleaseScheduler::with_server(
+        SchedulerConfig::new(ReleasePolicy::EveryKMutations(2))
+            .with_epsilon(0.5)
+            .with_delta_max(8),
+        Arc::clone(&server),
+    );
+    let tenant = TenantId::new("owner");
+    let mut stream = GraphStream::from_graph("kept", cycles_with_pendants(30));
+    let mut published = Vec::new();
+    let mut record = |stream: &GraphStream, released: Option<ccdp_stream::ReleaseRecord>| {
+        if let Some(r) = released {
+            published.push((r.version, ccdp_graph::CsrGraph::from_graph(stream.graph())));
+        }
+    };
+    let first = scheduler.observe(&mut stream, &tenant).unwrap();
+    record(&stream, first);
+    for t in 0..12u64 {
+        let (u, v) = (6 * t as usize, 180 + t as usize);
+        stream.apply(&Mutation::insert(t + 1, u, v)).unwrap();
+        let released = scheduler.observe(&mut stream, &tenant).unwrap();
+        record(&stream, released);
+    }
+    let id = stream.id().clone();
+    let retained = registry.versions(&id);
+    assert_eq!(retained.len(), 4);
+    // The version below the latest was already compacted by the scheduler.
+    assert!(!registry.compact_previous(&id));
+    for (version, arena) in &published {
+        match registry.resolve_version(&id, *version) {
+            Ok(g) => {
+                assert!(retained.contains(version));
+                assert_eq!(g.csr(), arena, "version {version}");
+            }
+            Err(_) => assert!(!retained.contains(version)),
+        }
+    }
+}
