@@ -360,30 +360,34 @@ impl CsrGraph {
     /// per-component allocation.
     pub fn partition_components(&self) -> ComponentPartition {
         let n = self.num_vertices();
-        let labels = self.component_labels();
+        let mut labels = self.component_labels();
         let k = labels.iter().copied().max().map_or(0, |m| m as usize + 1);
 
         // New order: vertices sorted by (component, old id). Since labels are
         // assigned in order of smallest vertex, a counting pass in old-id
         // order lands every component's vertices ascending — the same local
         // numbering `induced_subgraph` would assign.
-        let mut comp_sizes = vec![0u32; k];
-        for &l in &labels {
-            comp_sizes[l as usize] += 1;
-        }
         let mut comp_starts = vec![0u32; k + 1];
+        for &l in &labels {
+            comp_starts[l as usize + 1] += 1;
+        }
         for c in 0..k {
-            comp_starts[c + 1] = comp_starts[c] + comp_sizes[c];
+            comp_starts[c + 1] += comp_starts[c];
         }
+        // The pass works in place to keep the peak footprint at the arena
+        // plus two `n`-sized arrays: each label is overwritten by its
+        // vertex's new position, and `comp_starts[c]` is component c's
+        // cursor, which stops at the start of c + 1.
         let mut order = vec![0u32; n]; // new position -> old vertex
-        let mut new_of = vec![0u32; n]; // old vertex -> new position
-        let mut cursor = comp_starts[..k].to_vec();
-        for (old, &l) in labels.iter().enumerate() {
-            let pos = cursor[l as usize];
-            cursor[l as usize] += 1;
-            order[pos as usize] = old as u32;
-            new_of[old] = pos;
+        for (old, label) in labels.iter_mut().enumerate() {
+            let cursor = &mut comp_starts[*label as usize];
+            order[*cursor as usize] = old as u32;
+            *label = *cursor;
+            *cursor += 1;
         }
+        comp_starts.copy_within(0..k, 1);
+        comp_starts[0] = 0;
+        let new_of = labels; // old vertex -> new position
 
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::with_capacity(self.targets.len());
@@ -408,7 +412,7 @@ impl CsrGraph {
 
 /// How one arena differs from another ([`CsrGraph::diff`]): the vertex count
 /// it leads to and the edges to toggle, `(u, v)` with `u < v`, ascending.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EdgeDelta {
     num_vertices: usize,
     toggled: Vec<(u32, u32)>,

@@ -29,9 +29,11 @@
 //! * **Reuse across snapshots** — [`ClassTable::rebuild`] keeps the previous
 //!   partition's classes and looks every new class up among them, again by
 //!   full key comparison and never by hash alone. A class seen before carries
-//!   its value at every Δ it was solved at, so the next snapshot of an
-//!   evolving graph solves only the classes its edits created (a continual
-//!   release after 16 edits: at most 32 out of thousands). A rebuild recycles
+//!   its value at every Δ it was solved at (under the same micro setting,
+//!   so solve paths and LP counters always describe the current setting),
+//!   so the next snapshot of an evolving graph solves only the classes its
+//!   edits created (a continual release after 16 edits: at most 32 out of
+//!   thousands). A rebuild recycles
 //!   the buffers of the generation before, so a long-lived table stops
 //!   allocating. Who keeps a table between evaluations is the caller's
 //!   choice: a stream lineage retains one, a one-shot evaluation drops it.
