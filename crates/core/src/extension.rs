@@ -181,7 +181,7 @@ impl Default for FamilyOptions {
 /// A snapshot prepared with a [`Lineage`](ccdp_graph::Lineage) (a stream's)
 /// takes the class table the lineage retained from its previous evaluation
 /// and hands it back afterwards, so classes the previous snapshot already
-/// solved at a Δ are not solved again. The
+/// solved at a Δ, with the same micro setting, are not solved again. The
 /// values are the same either way; a graph without a lineage builds a table
 /// and drops it.
 ///
